@@ -1363,7 +1363,8 @@ fn perf_adaptive(ctx: &Ctx, suite: &[workloads::Dataset], cores: usize) {
     );
 
     // --- Scheduler budget allocation for a 16-probe rank on `ba`: top
-    // degrees, per-probe stderr target, widest-interval-first.
+    // degrees, per-probe stderr target, widest-interval-first. All probes
+    // share one oracle, so `spd_passes` is bounded by the vertex count.
     let mut order: Vec<Vertex> = (0..g.num_vertices() as Vertex).collect();
     order.sort_by_key(|&v| std::cmp::Reverse(g.degree(v)));
     let probes: Vec<Vertex> = order.into_iter().take(16).collect();
@@ -1374,6 +1375,12 @@ fn perf_adaptive(ctx: &Ctx, suite: &[workloads::Dataset], cores: usize) {
         ScheduleConfig::target_stderr(sched_budget, 0.02, 0.05, SEED).with_segment(256),
     )
     .expect("valid probes");
+    assert!(
+        sched.spd_passes <= g.num_vertices() as u64,
+        "{} SPD passes exceed one per vertex ({})",
+        sched.spd_passes,
+        g.num_vertices()
+    );
     let mut ts = Table::new(
         "PERF/scheduler - 16-probe adaptive rank budget allocation (ba, widest-interval-first)",
         &["probe", "allocated", "reached", "ci halfwidth", "BC (corrected)"],
@@ -1405,15 +1412,17 @@ fn perf_adaptive(ctx: &Ctx, suite: &[workloads::Dataset], cores: usize) {
          \"manual_ns_per_iter\": {manual_ns:.2}, \"engine_ns_per_iter\": {engine_ns:.2}, \
          \"overhead_pct\": {overhead_pct:.3}}},\n  \
          \"scheduler_16probe\": {{\"graph\": \"ba\", \"budget\": {sched_budget}, \
-         \"spent\": {}, \"rounds\": {}, \"target_se\": 0.02, \
+         \"spent\": {}, \"rounds\": {}, \"spd_passes\": {}, \"target_se\": 0.02, \
          \"probes\": [{sched_json}]}}\n}}\n",
-        ctx.quick, sched.spent, sched.rounds,
+        ctx.quick, sched.spent, sched.rounds, sched.spd_passes,
     );
     std::fs::write("BENCH_adaptive.json", &json).expect("write BENCH_adaptive.json");
     eprintln!(
         "[perf] wrote BENCH_adaptive.json ({within_08} of {} families within 0.8x of plan, \
-         segment overhead {overhead_pct:+.2}%)",
-        suite.len()
+         segment overhead {overhead_pct:+.2}%, 16-probe schedule {} SPD passes on {} vertices)",
+        suite.len(),
+        sched.spd_passes,
+        g.num_vertices()
     );
 }
 

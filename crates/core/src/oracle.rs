@@ -20,6 +20,13 @@
 //! pass over the reduced CSR instead of one per member. Direct views key by
 //! vertex id, which reproduces the pre-reduction behaviour exactly.
 //!
+//! A [`ProbeOracle`] also serves several *independent* consumers at once —
+//! the multi-probe scheduler gives every probe's chain one column of a
+//! single oracle over the whole probe set, so a source costs one SPD pass
+//! however many chains propose it. Each lookup, and the SPD pass a miss
+//! performs, is charged to the column whose consumer asked, so per-column
+//! figures sum to the oracle's totals.
+//!
 //! Capacity-limited oracles evict with a second-chance (CLOCK) policy: each
 //! cached row carries a referenced bit that hits set and the clock hand
 //! clears, so the chain's hot working set — exactly the high-dependency
@@ -78,6 +85,13 @@ struct Slot {
     referenced: bool,
 }
 
+/// Lookups and SPD passes charged to one probe column.
+#[derive(Debug, Clone, Copy, Default)]
+struct Charge {
+    stats: OracleStats,
+    passes: u64,
+}
+
 /// Memoises `δ_{source•}(r)` for a fixed probe set, keyed by the source's
 /// [`SpdView::row_key`] (equal to the vertex id on direct views).
 ///
@@ -91,12 +105,11 @@ pub struct ProbeOracle<'g> {
     index: HashMap<u64, usize>,
     slots: Vec<Slot>,
     hand: usize,
-    stats: OracleStats,
     capacity: usize,
-    /// SPD passes performed before this oracle existed — restored from a
-    /// checkpoint so [`ProbeOracle::spd_passes`] keeps counting across
-    /// save/resume boundaries.
-    passes_base: u64,
+    /// Per-column counters (module docs). Passes are counted here rather
+    /// than read off the calculator so a restored checkpoint's count keeps
+    /// accumulating across save/resume boundaries.
+    charges: Vec<Charge>,
 }
 
 impl<'g> ProbeOracle<'g> {
@@ -119,9 +132,8 @@ impl<'g> ProbeOracle<'g> {
             index: HashMap::new(),
             slots: Vec::new(),
             hand: 0,
-            stats: OracleStats::default(),
             capacity: usize::MAX,
-            passes_base: 0,
+            charges: vec![Charge::default(); probes.len()],
         }
     }
 
@@ -145,15 +157,32 @@ impl<'g> ProbeOracle<'g> {
         self.view
     }
 
-    /// `δ_{source•}(r)` for every probe `r`, cached.
+    /// `δ_{source•}(r)` for every probe `r`, cached; the lookup is charged
+    /// to column 0 (a joint-space chain reads every column at once).
     pub fn deps(&mut self, source: Vertex) -> &[f64] {
+        let i = self.lookup(source, 0);
+        &self.slots[i].row
+    }
+
+    /// `δ_{source•}(probes[idx])`, cached; the lookup, and the SPD pass a
+    /// miss performs, are charged to column `idx`.
+    pub fn dep(&mut self, source: Vertex, idx: usize) -> f64 {
+        let i = self.lookup(source, idx);
+        self.slots[i].row[idx]
+    }
+
+    /// The slot holding `source`'s row, computing it on a miss; charges
+    /// column `col`.
+    fn lookup(&mut self, source: Vertex, col: usize) -> usize {
         let key = self.view.row_key(source, self.probe_flag[source as usize]);
+        let charge = &mut self.charges[col];
         if let Some(&i) = self.index.get(&key) {
-            self.stats.hits += 1;
+            charge.stats.hits += 1;
             self.slots[i].referenced = true;
-            return &self.slots[i].row;
+            return i;
         }
-        self.stats.misses += 1;
+        charge.stats.misses += 1;
+        charge.passes += 1;
         let mut row = Vec::with_capacity(self.probes.len());
         self.calc.dependency_on_many(source, &self.probes, &mut row);
         let slot = Slot { key, row: row.into_boxed_slice(), referenced: false };
@@ -176,23 +205,31 @@ impl<'g> ProbeOracle<'g> {
             }
         };
         self.index.insert(key, i);
-        &self.slots[i].row
+        i
     }
 
-    /// `δ_{source•}(probes[idx])`, cached.
-    pub fn dep(&mut self, source: Vertex, idx: usize) -> f64 {
-        self.deps(source)[idx]
-    }
-
-    /// Cache statistics.
+    /// Cache statistics, summed over all columns.
     pub fn stats(&self) -> OracleStats {
-        self.stats
+        self.charges.iter().fold(OracleStats::default(), |acc, c| OracleStats {
+            hits: acc.hits + c.stats.hits,
+            misses: acc.misses + c.stats.misses,
+        })
     }
 
     /// Number of SPD passes performed (equals `stats().misses` while the
     /// cache is unbounded), counted across checkpoint/resume boundaries.
     pub fn spd_passes(&self) -> u64 {
-        self.passes_base + self.calc.passes()
+        self.charges.iter().map(|c| c.passes).sum()
+    }
+
+    /// Cache statistics charged to column `idx`.
+    pub fn column_stats(&self, idx: usize) -> OracleStats {
+        self.charges[idx].stats
+    }
+
+    /// SPD passes charged to column `idx`: the misses its lookups caused.
+    pub fn column_passes(&self, idx: usize) -> u64 {
+        self.charges[idx].passes
     }
 
     /// Number of distinct dependency rows currently cached.
@@ -210,11 +247,21 @@ impl<'g> ProbeOracle<'g> {
         rows
     }
 
+    /// Column `idx` of [`ProbeOracle::snapshot_rows`]: the rows a
+    /// one-probe oracle for `probes[idx]` restores from, so a sampler
+    /// reading one column checkpoints in the single-probe format.
+    pub fn column_rows(&self, idx: usize) -> Vec<(u64, Vec<f64>)> {
+        let mut rows: Vec<(u64, Vec<f64>)> =
+            self.slots.iter().map(|s| (s.key, vec![s.row[idx]])).collect();
+        rows.sort_by_key(|&(k, _)| k);
+        rows
+    }
+
     /// Restores a checkpointed cache: the given rows become the cache
     /// contents (referenced bits cleared — only meaningful under a capacity
     /// limit, which the samplers never set), and the counters resume from
-    /// the checkpointed values so `stats()` / [`ProbeOracle::spd_passes`]
-    /// continue as if the run had never stopped.
+    /// the checkpointed values, charged to column 0, so `stats()` /
+    /// [`ProbeOracle::spd_passes`] continue as if the run had never stopped.
     pub fn restore_cache(&mut self, rows: Vec<(u64, Vec<f64>)>, stats: OracleStats, passes: u64) {
         debug_assert!(self.slots.is_empty(), "restore into a fresh oracle");
         for (key, row) in rows {
@@ -222,8 +269,7 @@ impl<'g> ProbeOracle<'g> {
             self.index.insert(key, self.slots.len());
             self.slots.push(slot);
         }
-        self.stats = stats;
-        self.passes_base = passes;
+        self.charges[0] = Charge { stats, passes };
     }
 }
 
@@ -548,6 +594,27 @@ mod tests {
         })
         .expect("threads joined");
         assert_eq!(shared.cached_sources(), g.num_vertices());
+    }
+
+    #[test]
+    fn lookups_and_passes_are_charged_to_the_asking_column() {
+        let g = generators::barbell(4, 2);
+        let probes = [4u32, 5];
+        let mut o = ProbeOracle::new(&g, &probes);
+        let _ = o.dep(0, 0); // column 0 computes source 0's row
+        let _ = o.dep(0, 1); // column 1 reuses it
+        let _ = o.dep(1, 1);
+        let _ = o.dep(1, 1);
+        assert_eq!(o.column_stats(0), OracleStats { hits: 0, misses: 1 });
+        assert_eq!(o.column_stats(1), OracleStats { hits: 2, misses: 1 });
+        assert_eq!((o.column_passes(0), o.column_passes(1)), (1, 1));
+        assert_eq!(o.stats(), OracleStats { hits: 2, misses: 2 });
+        assert_eq!(o.spd_passes(), 2);
+        // A column's snapshot is what a one-probe oracle would cache.
+        let mut single = ProbeOracle::new(&g, &[5]);
+        let _ = single.dep(0, 0);
+        let _ = single.dep(1, 0);
+        assert_eq!(o.column_rows(1), single.snapshot_rows());
     }
 
     #[test]

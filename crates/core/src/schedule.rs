@@ -16,14 +16,24 @@
 //!
 //! The schedule is deterministic: interval widths are pure functions of the
 //! per-probe seeds, and ties break toward the lowest probe index.
+//!
+//! All probes' chains read one [`ProbeOracle`] over the whole probe set,
+//! each its own column. One SPD pass from a source yields `δ_{s•}(x)` for
+//! every vertex `x` (Eq 4), so a run costs one pass per distinct source
+//! (row key) across *all* probes — never more than the vertex count — and
+//! every probe's estimate is bit-identical to a standalone sampler with
+//! seed `seed + i` stepped through the same segments.
 
 use crate::engine::{AdaptiveReport, EngineConfig, EstimationEngine, StopReason};
+use crate::oracle::{OracleStats, ProbeOracle};
 use crate::single::{SingleDriver, SingleSpaceConfig, SingleSpaceEstimate, SingleSpaceSampler};
 use crate::CoreError;
 use mhbc_graph::Vertex;
 use mhbc_mcmc::monitor::normal_upper_quantile;
 use mhbc_mcmc::StoppingRule;
 use mhbc_spd::SpdView;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Configuration for [`run_probe_schedule`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,12 +97,37 @@ pub struct ScheduleOutcome {
     pub spent: u64,
     /// Scheduling decisions taken (segments granted).
     pub rounds: u64,
+    /// SPD passes of the shared oracle: the sum of the probes'
+    /// `estimate.spd_passes`.
+    pub spd_passes: u64,
+    /// Lookups of the shared oracle: the sum of the probes'
+    /// `estimate.oracle_stats`.
+    pub oracle_stats: OracleStats,
 }
 
 impl ScheduleOutcome {
     /// Whether every probe reached its target within the budget.
     pub fn all_reached(&self) -> bool {
         self.probes.iter().all(|p| p.reached)
+    }
+}
+
+/// One probe's engine and its scheduling state.
+struct Lane<'g> {
+    engine: EstimationEngine<SingleDriver<'g>>,
+    /// Set once the engine stops (target reached or budget exhausted).
+    finished: Option<StopReason>,
+    allocated: u64,
+}
+
+impl Lane<'_> {
+    /// Runs one segment; returns the iterations it took.
+    fn grant(&mut self) -> u64 {
+        let before = self.engine.iterations();
+        self.finished = self.engine.step_segment();
+        let taken = self.engine.iterations() - before;
+        self.allocated += taken;
+        taken
     }
 }
 
@@ -122,22 +157,26 @@ pub fn run_probe_schedule(
             return Err(CoreError::DuplicateProbe { probe: p });
         }
     }
+    let sampler_cfg =
+        |i: usize| SingleSpaceConfig::new(config.budget, config.seed.wrapping_add(i as u64));
+    // Validate before building the oracle, which panics on bad probes.
+    for (i, &p) in probes.iter().enumerate() {
+        crate::pipeline::validate_single(&view, p, &sampler_cfg(i))?;
+    }
     let z = ci_z(config.target);
     let engine_cfg = EngineConfig::adaptive(config.target).with_segment(config.segment);
 
-    // One engine per probe; each may in principle consume the whole budget.
-    let mut engines: Vec<Option<EstimationEngine<SingleDriver<'_>>>> = probes
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| {
-            let sampler_cfg =
-                SingleSpaceConfig::new(config.budget, config.seed.wrapping_add(i as u64));
-            SingleSpaceSampler::for_view(view, p, sampler_cfg)
-                .map(|s| Some(s.into_engine(engine_cfg)))
-        })
-        .collect::<Result<_, _>>()?;
-    let mut finished: Vec<Option<StopReason>> = vec![None; probes.len()];
-    let mut allocated = vec![0u64; probes.len()];
+    // One engine per probe, all reading one oracle; each may in principle
+    // consume the whole budget.
+    let oracle = Rc::new(RefCell::new(ProbeOracle::for_view(view, probes)));
+    let mut lanes: Vec<Lane<'_>> =
+        (0..probes.len())
+            .map(|i| {
+                SingleSpaceSampler::with_oracle(Rc::clone(&oracle), i, sampler_cfg(i)).map(|s| {
+                    Lane { engine: s.into_engine(engine_cfg), finished: None, allocated: 0 }
+                })
+            })
+            .collect::<Result<_, _>>()?;
     let mut spent = 0u64;
     let mut rounds = 0u64;
 
@@ -150,62 +189,45 @@ pub fn run_probe_schedule(
         }
     };
 
-    let grant = |i: usize,
-                 engines: &mut Vec<Option<EstimationEngine<SingleDriver<'_>>>>,
-                 finished: &mut Vec<Option<StopReason>>,
-                 allocated: &mut Vec<u64>,
-                 spent: &mut u64,
-                 rounds: &mut u64| {
-        let engine = engines[i].as_mut().expect("unfinished engines exist");
-        let before = engine.iterations();
-        let reason = engine.step_segment();
-        let delta = engine.iterations() - before;
-        allocated[i] += delta;
-        *spent += delta;
-        *rounds += 1;
-        finished[i] = reason;
-    };
-
     // Warm-up sweep: every probe gets one segment (and with it a first
     // interval), in input order.
-    for i in 0..probes.len() {
+    for lane in &mut lanes {
         if spent >= config.budget {
             break;
         }
-        if finished[i].is_none() {
-            grant(i, &mut engines, &mut finished, &mut allocated, &mut spent, &mut rounds);
-        }
+        spent += lane.grant();
+        rounds += 1;
     }
 
     // Reallocation: widest interval first among unfinished probes.
     while spent < config.budget {
         let mut pick: Option<(usize, f64)> = None;
-        for i in 0..probes.len() {
-            if finished[i].is_some() {
+        for (i, lane) in lanes.iter().enumerate() {
+            if lane.finished.is_some() {
                 continue;
             }
-            let w = width(engines[i].as_ref().expect("present until finished"));
+            let w = width(&lane.engine);
             // Strict > keeps ties on the lowest index (deterministic).
             if pick.is_none_or(|(_, best)| w > best) {
                 pick = Some((i, w));
             }
         }
         let Some((i, _)) = pick else { break }; // all probes reached their target
-        grant(i, &mut engines, &mut finished, &mut allocated, &mut spent, &mut rounds);
+        spent += lanes[i].grant();
+        rounds += 1;
     }
 
-    let outcomes = engines
+    let outcomes = lanes
         .into_iter()
-        .enumerate()
-        .map(|(i, engine)| {
-            let engine = engine.expect("engine present");
-            let ci = width(&engine);
-            let reached = matches!(finished[i], Some(StopReason::TargetReached));
-            let reason = finished[i].unwrap_or(StopReason::BudgetExhausted);
-            let (estimate, report) = engine.finalize(reason);
+        .zip(probes)
+        .map(|(lane, &probe)| {
+            let ci = width(&lane.engine);
+            let reached = matches!(lane.finished, Some(StopReason::TargetReached));
+            let reason = lane.finished.unwrap_or(StopReason::BudgetExhausted);
+            let (estimate, report) = lane.engine.finalize(reason);
             ProbeOutcome {
-                probe: probes[i],
-                allocated: allocated[i],
+                probe,
+                allocated: lane.allocated,
                 reached,
                 ci_halfwidth: ci,
                 estimate,
@@ -214,7 +236,14 @@ pub fn run_probe_schedule(
         })
         .collect();
 
-    Ok(ScheduleOutcome { probes: outcomes, spent, rounds })
+    let oracle = oracle.borrow();
+    Ok(ScheduleOutcome {
+        probes: outcomes,
+        spent,
+        rounds,
+        spd_passes: oracle.spd_passes(),
+        oracle_stats: oracle.stats(),
+    })
 }
 
 #[cfg(test)]
@@ -295,6 +324,50 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn shared_oracle_reproduces_standalone_samplers_bit_for_bit() {
+        use mhbc_graph::reduce::{reduce, ReduceLevel};
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
+        let g = generators::preferential_attachment_mixed(200, 1, 2, 0.5, &mut rng);
+        let red = reduce(&g, ReduceLevel::Full).unwrap();
+        for view in [SpdView::direct(&g), SpdView::preprocessed(&g, &red)] {
+            let probes: Vec<Vertex> =
+                (0..g.num_vertices() as Vertex).filter(|&v| view.is_retained(v)).take(8).collect();
+            let cfg = ScheduleConfig::target_stderr(8 * 600, 0.02, 0.05, 11).with_segment(100);
+            let out = run_probe_schedule(view, &probes, cfg).unwrap();
+            let z = ci_z(cfg.target);
+            for (i, o) in out.probes.iter().enumerate() {
+                let sampler_cfg = SingleSpaceConfig::new(cfg.budget, cfg.seed + i as u64);
+                let mut alone = SingleSpaceSampler::for_view(view, o.probe, sampler_cfg)
+                    .unwrap()
+                    .into_engine(EngineConfig::adaptive(cfg.target).with_segment(cfg.segment));
+                let mut reason = None;
+                for _ in 0..o.allocated / cfg.segment {
+                    reason = alone.step_segment();
+                }
+                assert_eq!(alone.iterations(), o.allocated);
+                let ci = z * alone.estimate_stderr();
+                let (est, _) = alone.finalize(reason.unwrap_or(StopReason::BudgetExhausted));
+                assert_eq!(est.bc.to_bits(), o.estimate.bc.to_bits(), "probe {}", o.probe);
+                assert_eq!(est.bc_corrected.to_bits(), o.estimate.bc_corrected.to_bits());
+                assert_eq!(ci.to_bits(), o.ci_halfwidth.to_bits(), "probe {}", o.probe);
+                assert_eq!(est.acceptance_rate.to_bits(), o.estimate.acceptance_rate.to_bits());
+            }
+            // Per-probe charges add up to the shared oracle's totals, which
+            // never exceed one pass per distinct row key.
+            let sum = |f: &dyn Fn(&ProbeOutcome) -> u64| out.probes.iter().map(f).sum::<u64>();
+            assert_eq!(sum(&|o| o.estimate.spd_passes), out.spd_passes);
+            assert_eq!(sum(&|o| o.estimate.oracle_stats.hits), out.oracle_stats.hits);
+            assert_eq!(sum(&|o| o.estimate.oracle_stats.misses), out.oracle_stats.misses);
+            let keys: std::collections::HashSet<u64> = (0..g.num_vertices() as Vertex)
+                .map(|v| view.row_key(v, probes.contains(&v)))
+                .collect();
+            assert!(out.spd_passes > 0 && out.spd_passes <= keys.len() as u64, "{view:?}");
+            assert!(keys.len() <= g.num_vertices());
+        }
     }
 
     #[test]

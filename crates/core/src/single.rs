@@ -8,18 +8,23 @@ use mhbc_graph::{CsrGraph, Vertex};
 use mhbc_mcmc::{ChainSnapshot, MetropolisHastings, StepOutcome, TargetDensity, UniformProposal};
 use mhbc_spd::SpdView;
 use rand::rngs::SmallRng;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Target density of the single-space chain: `f(v) = δ_{v•}(r)` — the
-/// unnormalised form of the optimal distribution `P_r[v]` (Eq 5).
+/// unnormalised form of the optimal distribution `P_r[v]` (Eq 5), read from
+/// column `idx` (the probe `r`) of an oracle that other chains on this
+/// thread may share (see [`crate::schedule`]).
 struct SingleTarget<'g> {
-    oracle: ProbeOracle<'g>,
+    oracle: Rc<RefCell<ProbeOracle<'g>>>,
+    idx: usize,
 }
 
 impl TargetDensity for SingleTarget<'_> {
     type State = Vertex;
 
     fn density(&mut self, v: &Vertex) -> f64 {
-        self.oracle.dep(*v, 0)
+        self.oracle.borrow_mut().dep(*v, self.idx)
     }
 }
 
@@ -109,9 +114,14 @@ pub struct SingleSpaceEstimate {
     pub iterations: u64,
     /// Fraction of proposals accepted.
     pub acceptance_rate: f64,
-    /// SPD passes spent (distinct sources evaluated) — the true cost.
+    /// SPD passes charged to this chain: the distinct sources (row keys)
+    /// its own lookups evaluated first — the true cost. When several chains
+    /// share one oracle (the multi-probe scheduler), a row another chain
+    /// already computed is a cache hit here, so the per-probe figures sum to
+    /// the shared oracle's total rather than each counting every source.
     pub spd_passes: u64,
-    /// Oracle cache statistics.
+    /// Oracle cache statistics of this chain's lookups (charged the same
+    /// way as `spd_passes`).
     pub oracle_stats: OracleStats,
     /// Running estimate after each counted iteration (when traced).
     pub trace: Option<Vec<f64>>,
@@ -306,10 +316,29 @@ impl<'g> SingleSpaceSampler<'g> {
         r: Vertex,
         config: SingleSpaceConfig,
     ) -> Result<Self, CoreError> {
+        crate::pipeline::validate_single(&view, r, &config)?;
+        Self::with_oracle(Rc::new(RefCell::new(ProbeOracle::for_view(view, &[r]))), 0, config)
+    }
+
+    /// Builds a sampler for probe `oracle.probes()[idx]` whose densities
+    /// come from column `idx` of `oracle`, which other samplers on this
+    /// thread may share: one SPD pass per distinct source serves every
+    /// column, and the estimate is bit-identical to a sampler with an
+    /// oracle of its own (a row's entries are a pure function of the view,
+    /// the source's row key and the probe).
+    pub(crate) fn with_oracle(
+        oracle: Rc<RefCell<ProbeOracle<'g>>>,
+        idx: usize,
+        config: SingleSpaceConfig,
+    ) -> Result<Self, CoreError> {
+        let (view, r) = {
+            let o = oracle.borrow();
+            (o.view(), o.probes()[idx])
+        };
         let n = crate::pipeline::validate_single(&view, r, &config)?;
         let (initial, prop_rng, acc_rng) =
             crate::pipeline::derive_streams(config.seed, config.initial, n);
-        let target = SingleTarget { oracle: ProbeOracle::for_view(view, &[r]) };
+        let target = SingleTarget { oracle, idx };
         let chain = MetropolisHastings::with_streams(
             target,
             UniformProposal::new(n),
@@ -378,7 +407,13 @@ impl<'g> SingleSpaceSampler<'g> {
     pub fn finish(self) -> SingleSpaceEstimate {
         let acceptance_rate = self.chain.stats().acceptance_rate();
         let target = self.chain.into_target();
-        self.acc.finish(self.r, acceptance_rate, target.oracle.spd_passes(), target.oracle.stats())
+        let oracle = target.oracle.borrow();
+        self.acc.finish(
+            self.r,
+            acceptance_rate,
+            oracle.column_passes(target.idx),
+            oracle.column_stats(target.idx),
+        )
     }
 }
 
@@ -580,12 +615,13 @@ impl CheckpointDriver for SingleDriver<'_> {
     }
 
     fn view(&self) -> SpdView<'_> {
-        self.sampler.chain.target().oracle.view()
+        self.sampler.chain.target().oracle.borrow().view()
     }
 
     fn save(&self, w: &mut Writer) {
         let s = &self.sampler;
-        let oracle = &s.chain.target().oracle;
+        let target = s.chain.target();
+        let oracle = target.oracle.borrow();
         save_single_payload(
             w,
             s.r,
@@ -594,9 +630,9 @@ impl CheckpointDriver for SingleDriver<'_> {
             &s.acc,
             self.proposal_sum,
             self.max_proposed,
-            oracle.spd_passes(),
-            oracle.stats(),
-            oracle.snapshot_rows(),
+            oracle.column_passes(target.idx),
+            oracle.column_stats(target.idx),
+            oracle.column_rows(target.idx),
         );
     }
 }
@@ -681,7 +717,7 @@ impl<'g> SingleDriver<'g> {
         let mut oracle = ProbeOracle::for_view(view, &[parts.r]);
         oracle.restore_cache(parts.rows, parts.stats, parts.passes);
         let chain = MetropolisHastings::restore(
-            SingleTarget { oracle },
+            SingleTarget { oracle: Rc::new(RefCell::new(oracle)), idx: 0 },
             UniformProposal::new(parts.n),
             parts.snap,
         );

@@ -3,10 +3,16 @@
 //! Format: one edge per line, `u v` (unweighted) or `u v w` (weighted);
 //! blank lines and lines starting with `#` or `%` are ignored (the comment
 //! conventions of SNAP and KONECT dumps). Vertex ids are arbitrary
-//! non-negative integers; the graph is sized to `max id + 1`.
+//! non-negative integers; the graph is sized to `max id + 1`, and ids so
+//! sparse that over a million of those slots would go untouched are
+//! rejected ([`GraphError::SparseIds`]) rather than allocated.
 
 use crate::{CsrGraph, GraphBuilder, GraphError, Vertex};
 use std::io::{BufRead, Write};
+
+/// Slack of vertex ids no edge touches that [`read_edge_list`] tolerates
+/// (2^20) beyond the `2·edges` ids the edges can name.
+const MAX_UNUSED_IDS: usize = 1 << 20;
 
 /// Reads an edge list from `reader`. Weightedness is inferred from the first
 /// data line and must then be consistent on all lines.
@@ -56,6 +62,11 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> Result<CsrGraph, GraphError> {
     }
 
     let n = if edges.is_empty() { 0 } else { max_v as usize + 1 };
+    // `edges` touch at most `2·edges` ids; refuse before any vertex-sized
+    // allocation when the id space is vastly larger.
+    if n > 2 * edges.len() + MAX_UNUSED_IDS {
+        return Err(GraphError::SparseIds { max_id: max_v, edges: edges.len() });
+    }
     let mut b = GraphBuilder::with_capacity(n, edges.len());
     if weighted == Some(true) {
         for (&(u, v), &w) in edges.iter().zip(&weights) {
@@ -129,6 +140,19 @@ mod tests {
             read_edge_list(Cursor::new("3\n")).unwrap_err(),
             GraphError::Parse { line: 1, .. }
         ));
+    }
+
+    #[test]
+    fn rejects_ids_too_sparse_to_index() {
+        let text = "0 1\n1 2\n2 3000000000\n3000000000 0\n";
+        let err = read_edge_list(Cursor::new(text)).unwrap_err();
+        assert_eq!(err, GraphError::SparseIds { max_id: 3_000_000_000, edges: 4 });
+        assert!(err.to_string().contains("3000000000"), "{err}");
+        // The boundary: 2·edges + 2^20 ids are still accepted.
+        let max = 2 + MAX_UNUSED_IDS - 1;
+        let g = read_edge_list(Cursor::new(format!("0 {max}\n"))).unwrap();
+        assert_eq!(g.num_vertices(), max + 1);
+        assert!(read_edge_list(Cursor::new(format!("0 {}\n", max + 1))).is_err());
     }
 
     #[test]

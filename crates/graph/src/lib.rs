@@ -76,6 +76,10 @@ pub enum GraphError {
     /// The doubled edge-endpoint count `2m` would overflow the compact
     /// `u32` CSR offsets (see [`CsrGraph`]'s compact-index invariants).
     TooManyEdges { edges: usize },
+    /// An edge list's ids are too sparse to index densely: `max_id + 1`
+    /// exceeds `2·edges + 2^20`, so over a million vertex slots would be
+    /// allocated that no edge touches.
+    SparseIds { max_id: Vertex, edges: usize },
     /// An operation that requires a connected graph was given a disconnected one.
     Disconnected,
     /// Edge-list parsing failed.
@@ -104,6 +108,11 @@ impl std::fmt::Display for GraphError {
             GraphError::TooManyEdges { edges } => {
                 write!(f, "{edges} edges exceed the compact u32 CSR offset space (2m > u32::MAX)")
             }
+            GraphError::SparseIds { max_id, edges } => write!(
+                f,
+                "vertex id {max_id} is too sparse for {edges} edges: indexing it densely would \
+                 allocate over a million unused vertices; relabel the ids to 0..n"
+            ),
             GraphError::Disconnected => write!(f, "operation requires a connected graph"),
             GraphError::Parse { line, message } => {
                 write!(f, "parse error on line {line}: {message}")

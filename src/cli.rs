@@ -598,8 +598,8 @@ pub fn execute(cmd: &Command, g: &CsrGraph, map: &[Vertex]) -> Result<Vec<String
                 let sched = run_probe_schedule(view, &probes, cfg).map_err(|e| e.to_string())?;
                 out.push(format!(
                     "adaptive ranking by estimated BC (target se {epsilon}, budget {budget}, \
-                     spent {}, {} scheduling rounds):",
-                    sched.spent, sched.rounds
+                     spent {}, {} scheduling rounds, {} SPD passes):",
+                    sched.spent, sched.rounds, sched.spd_passes
                 ));
                 let mut ranked: Vec<(Vertex, &mhbc_core::schedule::ProbeOutcome)> =
                     vertices.iter().zip(&sched.probes).map(|(&v, o)| (v, o)).collect();
@@ -1328,7 +1328,19 @@ mod tests {
             },
         };
         let out = execute(&cmd, &lcc, &map).unwrap();
-        assert!(out.iter().any(|l| l.contains("adaptive ranking")), "{out:?}");
+        let header = out.iter().find(|l| l.contains("adaptive ranking")).expect("header");
+        // The historical `budget B, spent S, R scheduling rounds` substring
+        // stays intact for parsers; the SPD-pass cost follows it.
+        assert!(header.contains("budget 4000, spent "), "{header}");
+        assert!(header.contains(" scheduling rounds, "), "{header}");
+        let passes: u64 = header
+            .rsplit_once(", ")
+            .and_then(|(_, tail)| tail.strip_suffix(" SPD passes):"))
+            .and_then(|p| p.parse().ok())
+            .unwrap_or_else(|| panic!("no SPD-pass count in {header}"));
+        // One pass per distinct source across both probes: at most the
+        // lollipop's 12 vertices.
+        assert!((1..=12).contains(&passes), "{header}");
         let line9 = out.iter().find(|l| l.trim_start().starts_with("9 ")).unwrap();
         let line11 = out.iter().find(|l| l.trim_start().starts_with("11 ")).unwrap();
         assert!(line11.contains("(128 iters"), "zero-BC probe gets one segment: {line11}");

@@ -170,3 +170,22 @@ fn disconnected_input_pipeline() {
         assert!(est.bc.is_finite());
     }
 }
+
+/// A tiny edge list naming vertex 3,000,000,000 is refused with a message
+/// and a non-zero exit, not by aborting on a multi-gigabyte allocation.
+#[test]
+fn huge_vertex_id_is_a_clean_cli_error() {
+    let dir = std::env::temp_dir().join(format!("mhbc_huge_id_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("huge.txt");
+    std::fs::write(&path, "0 1\n1 2\n2 3000000000\n3000000000 0\n").unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_mhbc"))
+        .args(["estimate", path.to_str().unwrap(), "1", "--iters", "10"])
+        .output()
+        .expect("mhbc runs");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("error: vertex id 3000000000 is too sparse"), "{stderr}");
+    assert!(out.stdout.is_empty());
+}
