@@ -107,7 +107,8 @@ pub struct AdaptiveReport {
     /// The stopping rule in force.
     pub stopping: StoppingRule,
     /// Batch-means standard error of the *estimate* at stop (`NaN` when
-    /// fewer than two batches completed).
+    /// fewer than two batches completed or the chain never showed its
+    /// spread; see [`EstimationEngine::estimate_stderr`]).
     pub stderr: f64,
     /// Online effective sample size of the observation series.
     pub ess: f64,
@@ -142,6 +143,12 @@ pub trait EngineDriver {
 
     /// Iterations done so far (including before a resume).
     fn iterations(&self) -> u64;
+
+    /// Whether the chain (any chain, for an ensemble) has rejected a
+    /// proposal of positive density — a rejection by chance, where a
+    /// zero-density proposal is rejected with certainty. Counted over the
+    /// whole run, resumes included. Drivers that cannot tell answer `true`.
+    fn rejected_by_chance(&self) -> bool;
 
     /// Divisor mapping the observation series' standard error to the
     /// estimate's standard error (the Eq 7 estimator divides the dependency
@@ -239,10 +246,34 @@ impl<D: EngineDriver> EstimationEngine<D> {
         &self.driver
     }
 
-    /// Standard error of the estimate at the current point (`NaN` until
-    /// two batches of observations completed).
+    /// Standard error of the estimate at the current point: `NaN` until
+    /// two batches of observations completed, and while the series has not
+    /// shown its spread. A zero batch-means spread is a bound only for a
+    /// series that is constant because the target is: identically zero (a
+    /// zero-betweenness probe), or one value from a chain that took every
+    /// proposal of positive density (so every other proposal had density
+    /// 0). Anywhere else the zero says nothing — a chain that has not moved
+    /// since a chance rejection, or moves only between states of equal
+    /// density, repeats one value; a chain whose moves all fall in the
+    /// in-progress batch has equal completed-batch means although the
+    /// series varies. Then the stderr is `NaN`, no stopping rule fires, and
+    /// the probe scheduler reports no zero-width interval.
     pub fn estimate_stderr(&self) -> f64 {
+        if !self.spread_observed() {
+            return f64::NAN;
+        }
         self.monitor.batch_stderr() / self.driver.scale()
+    }
+
+    /// Whether the diagnostics can speak to the estimate's error (see
+    /// [`Self::estimate_stderr`]).
+    fn spread_observed(&self) -> bool {
+        let m = &self.monitor;
+        let se = m.batch_stderr();
+        se > 0.0
+            || (se == 0.0
+                && m.variance() == 0.0
+                && (m.max_observed() == 0.0 || !self.driver.rejected_by_chance()))
     }
 
     /// Runs one segment (clamped to the remaining budget) and decides:
@@ -259,7 +290,9 @@ impl<D: EngineDriver> EstimationEngine<D> {
         self.driver.run_segment(seg, &mut self.buf);
         self.monitor.absorb(&self.buf);
         self.segments += 1;
-        if self.config.stopping.satisfied(&self.monitor, self.driver.scale()) {
+        if self.spread_observed()
+            && self.config.stopping.satisfied(&self.monitor, self.driver.scale())
+        {
             return Some(StopReason::TargetReached);
         }
         if self.driver.iterations() >= self.budget {
@@ -457,6 +490,7 @@ mod tests {
     use crate::{SingleSpaceConfig, SingleSpaceSampler};
     use mhbc_graph::generators;
     use mhbc_mcmc::StoppingRule;
+    use rand::SeedableRng;
 
     fn fingerprint(e: &crate::SingleSpaceEstimate) -> (u64, u64, u64, u64, u64) {
         (
@@ -519,6 +553,100 @@ mod tests {
         assert_eq!(report.reason, StopReason::TargetReached);
         assert_eq!(report.iterations, 128);
         assert_eq!(est.bc, 0.0);
+    }
+
+    #[test]
+    fn chain_that_never_moved_claims_no_error() {
+        // Probe 42 of the 400-vertex BA graph below, chain seed 1142557,
+        // rejects every proposal of its first 64-iteration segment: the
+        // series repeats the initial density and its batch-means spread is
+        // exactly 0. That zero is no error bound, so the run goes on.
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(1);
+        let g = generators::barabasi_albert(400, 4, &mut rng);
+        let rule = StoppingRule::TargetStderr { epsilon: 0.01, delta: 0.05 };
+        let mut engine = SingleSpaceSampler::new(&g, 42, SingleSpaceConfig::new(4_800, 1_142_557))
+            .unwrap()
+            .into_engine(EngineConfig::adaptive(rule).with_segment(64));
+        assert_eq!(engine.step_segment(), None, "stopped on a chain that never moved");
+        assert_eq!(engine.monitor().variance(), 0.0);
+        assert!(engine.monitor().max_observed() > 0.0);
+        assert_eq!(engine.monitor().batch_stderr(), 0.0);
+        assert!(engine.estimate_stderr().is_nan());
+        let (_, report) = engine.run();
+        assert!(report.iterations > 64);
+        assert!(report.stderr.is_finite() && report.stderr > 0.0, "stderr {}", report.stderr);
+    }
+
+    /// Replays a fixed observation series.
+    struct Scripted {
+        series: Vec<f64>,
+        done: u64,
+        by_chance: bool,
+    }
+
+    impl EngineDriver for Scripted {
+        type Output = ();
+
+        fn run_segment(&mut self, iters: u64, out: &mut Vec<f64>) {
+            let start = self.done as usize;
+            out.extend_from_slice(&self.series[start..start + iters as usize]);
+            self.done += iters;
+        }
+
+        fn iterations(&self) -> u64 {
+            self.done
+        }
+
+        fn rejected_by_chance(&self) -> bool {
+            self.by_chance
+        }
+
+        fn scale(&self) -> f64 {
+            1.0
+        }
+
+        fn finish(self) {}
+    }
+
+    /// Runs the first 80-iteration segment of `series` under a target no
+    /// nonzero spread meets; returns the decision and the stderr there.
+    fn scripted_stop(series: Vec<f64>, by_chance: bool) -> (Option<StopReason>, f64) {
+        let budget = series.len() as u64;
+        let driver = Scripted { series, done: 0, by_chance };
+        let rule = StoppingRule::TargetStderr { epsilon: 1e-9, delta: 0.05 };
+        let mut engine =
+            EstimationEngine::new(driver, budget, EngineConfig::adaptive(rule).with_segment(80));
+        let reason = engine.step_segment();
+        (reason, engine.estimate_stderr())
+    }
+
+    #[test]
+    fn zero_spread_stops_only_when_the_target_is_constant() {
+        // Identically zero: a zero-betweenness probe, an exact answer.
+        let (reason, se) = scripted_stop(vec![0.0; 160], true);
+        assert_eq!((reason, se), (Some(StopReason::TargetReached), 0.0));
+        // One value from a chain that took every supported proposal (a
+        // barbell's bridge vertex): exact too.
+        let (reason, se) = scripted_stop(vec![0.5; 160], false);
+        assert_eq!((reason, se), (Some(StopReason::TargetReached), 0.0));
+        // The same value from a chain that rejected a supported proposal:
+        // it sat still by chance.
+        let (reason, se) = scripted_stop(vec![0.5; 160], true);
+        assert_eq!(reason, None);
+        assert!(se.is_nan());
+        // A move in the in-progress third batch only (the first segment is
+        // 80 observations, batches 32): the two completed batch means agree
+        // although the series varies.
+        let mut series = vec![0.5; 160];
+        series[70] = 2.0;
+        let (reason, se) = scripted_stop(series, false);
+        assert_eq!(reason, None);
+        assert!(se.is_nan());
+        // A visible spread gives a positive stderr (above this target).
+        let series = (0..160).map(|i| f64::from(i % 7)).collect();
+        let (reason, se) = scripted_stop(series, true);
+        assert_eq!(reason, None);
+        assert!(se > 0.0);
     }
 
     #[test]

@@ -298,6 +298,10 @@ impl EngineDriver for EnsembleDriver<'_> {
         self.done_per_chain
     }
 
+    fn rejected_by_chance(&self) -> bool {
+        self.cells.iter().any(|c| c.proposals_support > c.snap.stats.accepted)
+    }
+
     fn scale(&self) -> f64 {
         self.n as f64 - 1.0
     }

@@ -416,6 +416,11 @@ impl EngineDriver for JointDriver<'_> {
         self.sampler.iteration
     }
 
+    fn rejected_by_chance(&self) -> bool {
+        // Proposal densities are not counted here; assume the worst.
+        true
+    }
+
     fn scale(&self) -> f64 {
         self.sampler.chain.target().oracle.view().num_vertices() as f64 - 1.0
     }

@@ -215,6 +215,10 @@ impl<F: FnMut(&Vertex) -> f64> EngineDriver for PipelineSingleDriver<'_, '_, F> 
         self.acc.iteration()
     }
 
+    fn rejected_by_chance(&self) -> bool {
+        self.acc.rejected_by_chance(self.chain.stats())
+    }
+
     fn scale(&self) -> f64 {
         self.n as f64 - 1.0
     }

@@ -225,6 +225,15 @@ impl SingleAccumulator {
         self.counted
     }
 
+    /// Whether `stats`' chain rejected a proposal of positive density:
+    /// fewer acceptances than supported proposals. Exact while the chain
+    /// has not sat on a zero-density state (which also takes zero-density
+    /// proposals) — always so when its observed series is constant and
+    /// nonzero, barring a burn-in.
+    pub(crate) fn rejected_by_chance(&self, stats: &mhbc_mcmc::ChainStats) -> bool {
+        self.proposals_support > stats.accepted
+    }
+
     pub(crate) fn estimate(&self) -> f64 {
         if self.counted == 0 {
             return 0.0;
@@ -276,6 +285,11 @@ impl SingleAccumulator {
 /// run with bit-identical output, see [`crate::pipeline::run_single`] —
 /// same chain, same estimates, with proposal densities evaluated
 /// speculatively by worker threads.
+///
+/// The sampler reads its densities through a thread-local shared handle
+/// (so the probe scheduler's chains can share one oracle); it and its
+/// engine are therefore not `Send`. Build one per thread to run
+/// independent estimates in parallel.
 pub struct SingleSpaceSampler<'g> {
     chain: MetropolisHastings<SingleTarget<'g>, UniformProposal, SmallRng>,
     r: Vertex,
@@ -317,7 +331,7 @@ impl<'g> SingleSpaceSampler<'g> {
         config: SingleSpaceConfig,
     ) -> Result<Self, CoreError> {
         crate::pipeline::validate_single(&view, r, &config)?;
-        Self::with_oracle(Rc::new(RefCell::new(ProbeOracle::for_view(view, &[r]))), 0, config)
+        Ok(Self::with_oracle(Rc::new(RefCell::new(ProbeOracle::for_view(view, &[r]))), 0, config))
     }
 
     /// Builds a sampler for probe `oracle.probes()[idx]` whose densities
@@ -325,17 +339,17 @@ impl<'g> SingleSpaceSampler<'g> {
     /// thread may share: one SPD pass per distinct source serves every
     /// column, and the estimate is bit-identical to a sampler with an
     /// oracle of its own (a row's entries are a pure function of the view,
-    /// the source's row key and the probe).
+    /// the source's row key and the probe). The caller has checked the
+    /// probe and `config` with `validate_single`.
     pub(crate) fn with_oracle(
         oracle: Rc<RefCell<ProbeOracle<'g>>>,
         idx: usize,
         config: SingleSpaceConfig,
-    ) -> Result<Self, CoreError> {
-        let (view, r) = {
+    ) -> Self {
+        let (n, r) = {
             let o = oracle.borrow();
-            (o.view(), o.probes()[idx])
+            (o.view().num_vertices(), o.probes()[idx])
         };
-        let n = crate::pipeline::validate_single(&view, r, &config)?;
         let (initial, prop_rng, acc_rng) =
             crate::pipeline::derive_streams(config.seed, config.initial, n);
         let target = SingleTarget { oracle, idx };
@@ -349,7 +363,7 @@ impl<'g> SingleSpaceSampler<'g> {
 
         let mut acc = SingleAccumulator::new(&config, n);
         acc.absorb_initial(chain.current_density());
-        Ok(SingleSpaceSampler { chain, r, config, acc })
+        SingleSpaceSampler { chain, r, config, acc }
     }
 
     /// The probe vertex.
@@ -590,6 +604,10 @@ impl EngineDriver for SingleDriver<'_> {
 
     fn iterations(&self) -> u64 {
         self.sampler.acc.iteration()
+    }
+
+    fn rejected_by_chance(&self) -> bool {
+        self.sampler.acc.rejected_by_chance(self.sampler.chain.stats())
     }
 
     fn scale(&self) -> f64 {
