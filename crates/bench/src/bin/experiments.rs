@@ -777,7 +777,6 @@ fn f7(ctx: &Ctx) {
 fn f8(ctx: &Ctx) {
     use mhbc_core::oracle::ProbeOracle;
     use mhbc_mcmc::{fn_target, MetropolisHastings, Proposal, UniformProposal, WeightedProposal};
-    use std::cell::RefCell;
 
     /// Neighbour random-walk proposal (Hastings ratio deg(v)/deg(v')).
     struct WalkProposal<'g> {
@@ -809,8 +808,8 @@ fn f8(ctx: &Ctx) {
 
         // Generic runner over any proposal: time-average of delta/(n-1).
         let run_with = |which: &str| -> (f64, f64) {
-            let oracle = RefCell::new(ProbeOracle::new(g, &[r]));
-            let target = fn_target(|v: &u32| oracle.borrow_mut().dep(*v, 0));
+            let oracle = ProbeOracle::new(g, &[r]);
+            let target = fn_target(|v: &u32| oracle.dep(*v, 0));
             let rng = SmallRng::seed_from_u64(SEED + 4242);
             let mut sum = 0.0;
             let (mut steps, mut accepted) = (0u64, 0u64);

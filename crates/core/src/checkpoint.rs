@@ -362,6 +362,21 @@ pub(crate) fn validate_view(info: &CheckpointInfo, view: &SpdView<'_>) -> Result
     Ok(())
 }
 
+/// Test helper: cuts the last cached row of a checkpoint whose payload ends
+/// with an oracle block of `k`-entry rows to length 0, and re-signs it —
+/// a well-formed file that no run could have written.
+#[cfg(test)]
+pub(crate) fn cut_last_row(bytes: &[u8], k: usize) -> Vec<u8> {
+    let body = &bytes[..bytes.len() - 8];
+    let len_at = body.len() - 8 * k - 8;
+    let len = u64::from_le_bytes(body[len_at..len_at + 8].try_into().expect("8 bytes"));
+    assert_eq!(len, k as u64, "payload does not end with a {k}-entry row");
+    let mut w = Writer::new();
+    w.bytes(&body[..len_at]);
+    w.u64(0);
+    w.finish()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

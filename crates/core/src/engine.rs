@@ -246,6 +246,10 @@ impl<D: EngineDriver> EstimationEngine<D> {
         &self.driver
     }
 
+    pub(crate) fn driver_mut(&mut self) -> &mut D {
+        &mut self.driver
+    }
+
     /// Standard error of the estimate at the current point: `NaN` until
     /// two batches of observations completed, and while the series has not
     /// shown its spread. A zero batch-means spread is a bound only for a
@@ -799,6 +803,31 @@ mod tests {
             resume_single(mhbc_spd::SpdView::direct(&other), &bytes),
             Err(CoreError::Checkpoint { .. })
         ));
+    }
+
+    #[test]
+    fn resume_rejects_a_cut_oracle_row() {
+        // A re-signed checkpoint whose last cached row lost its entries is
+        // refused with an error, not read out of bounds later.
+        let g = generators::barbell(5, 3);
+        let view = mhbc_spd::SpdView::direct(&g);
+        let mut single = SingleSpaceSampler::for_view(view, 5, SingleSpaceConfig::new(900, 3))
+            .unwrap()
+            .into_engine(EngineConfig::fixed().with_segment(300));
+        assert!(single.step_segment().is_none());
+        let cut = checkpoint::cut_last_row(&single.checkpoint(), 1);
+        let err = resume_single(view, &cut).err().expect("cut row refused");
+        assert!(matches!(err, CoreError::Checkpoint { .. }), "{err}");
+
+        let probes = [5u32, 6, 7];
+        let mut joint =
+            crate::JointSpaceSampler::for_view(view, &probes, crate::JointSpaceConfig::new(900, 3))
+                .unwrap()
+                .into_engine(EngineConfig::fixed().with_segment(300));
+        assert!(joint.step_segment().is_none());
+        let cut = checkpoint::cut_last_row(&joint.checkpoint(), probes.len());
+        let err = resume_joint(view, &cut).err().expect("cut row refused");
+        assert!(matches!(err, CoreError::Checkpoint { .. }), "{err}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! and — because the stationary law concentrates on the same
 //! high-dependency sources — they share most of their density evaluations.
 //! This module runs `k` chains across threads over one
-//! [`SharedProbeOracle`], pools their
+//! [`ProbeOracle`], pools their
 //! Eq 7 and corrected estimates, and reports the Gelman–Rubin `R̂`
 //! statistic across chains, the standard multi-chain convergence check that
 //! complements the paper's single-chain guarantee.
@@ -30,19 +30,16 @@ use crate::checkpoint::CheckpointKind;
 use crate::engine::{
     open_checkpoint, AdaptiveReport, CheckpointDriver, EngineConfig, EngineDriver, EstimationEngine,
 };
-use crate::oracle::{OracleStats, SharedProbeOracle};
-use crate::pipeline::{
-    derive_streams, prefetch_lane, CheckpointSink, Lane, Pacing, PacingGuard, PrefetchConfig,
-};
-use crate::single::{restore_oracle, save_oracle};
+use crate::oracle::{OracleStats, ProbeOracle};
+use crate::pipeline::{prefetch_lane, CheckpointSink, Lane, Pacing, PacingGuard, PrefetchConfig};
+use crate::single::{derive_streams, restore_oracle, save_oracle, validate_single};
 use crate::CoreError;
 use mhbc_graph::{CsrGraph, Vertex};
 use mhbc_mcmc::diagnostics::RunningMoments;
 use mhbc_mcmc::{fn_target, ChainSnapshot, ChainStats, MetropolisHastings, UniformProposal};
-use mhbc_spd::{SpdView, SpdWorkspacePool};
+use mhbc_spd::SpdView;
 use parking_lot::Mutex;
 use rand::rngs::SmallRng;
-use std::sync::atomic::Ordering;
 
 /// Configuration for [`run_ensemble`].
 #[derive(Debug, Clone)]
@@ -125,8 +122,7 @@ pub struct EnsembleDriver<'g> {
     chains: usize,
     seed: u64,
     prefetch: PrefetchConfig,
-    oracle: SharedProbeOracle<'g>,
-    pool: SpdWorkspacePool<'g>,
+    oracle: ProbeOracle<'g>,
     cells: Vec<ChainCell>,
     done_per_chain: u64,
     budget: u64,
@@ -136,54 +132,38 @@ impl<'g> EnsembleDriver<'g> {
     /// Builds the driver and evaluates every chain's initial state (in
     /// chain order — deterministic cache history).
     fn create(view: SpdView<'g>, r: Vertex, config: &EnsembleConfig) -> Result<Self, CoreError> {
-        let n = view.num_vertices();
-        if n < 3 {
-            return Err(CoreError::GraphTooSmall { num_vertices: n });
-        }
-        if r as usize >= n {
-            return Err(CoreError::ProbeOutOfRange { probe: r, num_vertices: n });
-        }
-        if !view.is_retained(r) {
-            return Err(CoreError::PrunedProbe { probe: r });
-        }
+        let n = validate_single(&view, r, None)?;
         assert!(config.chains >= 1, "need at least one chain");
-        let oracle = SharedProbeOracle::for_view(view, &[r]);
-        let pool = SpdWorkspacePool::for_view_workers(
-            view,
-            config.chains * config.prefetch.threads.max(1),
-        );
-        let cells = {
-            let mut calc = pool.checkout();
-            (0..config.chains)
-                .map(|c| {
-                    let (initial, prop_rng, acc_rng) =
-                        derive_streams(config.seed.wrapping_add(c as u64), None, n);
-                    let d0 = oracle.dep(initial, 0, &mut calc);
-                    let mut moments = RunningMoments::new();
-                    moments.push(d0);
-                    let (mut inv, mut support) = (0.0, 0);
-                    if d0 > 0.0 {
-                        inv = 1.0 / d0;
-                        support = 1;
-                    }
-                    ChainCell {
-                        snap: ChainSnapshot {
-                            state: initial,
-                            density: d0,
-                            stats: ChainStats::default(),
-                            proposal_rng: prop_rng.state(),
-                            accept_rng: acc_rng.state(),
-                        },
-                        sum_delta: d0,
-                        counted: 1,
-                        proposals_support: 0,
-                        inv_delta_sum: inv,
-                        support_counted: support,
-                        moments,
-                    }
-                })
-                .collect()
-        };
+        let oracle = ProbeOracle::for_view(view, &[r]);
+        let cells = (0..config.chains)
+            .map(|c| {
+                let (initial, prop_rng, acc_rng) =
+                    derive_streams(config.seed.wrapping_add(c as u64), None, n);
+                let d0 = oracle.dep(initial, 0);
+                let mut moments = RunningMoments::new();
+                moments.push(d0);
+                let (mut inv, mut support) = (0.0, 0);
+                if d0 > 0.0 {
+                    inv = 1.0 / d0;
+                    support = 1;
+                }
+                ChainCell {
+                    snap: ChainSnapshot {
+                        state: initial,
+                        density: d0,
+                        stats: ChainStats::default(),
+                        proposal_rng: prop_rng.state(),
+                        accept_rng: acc_rng.state(),
+                    },
+                    sum_delta: d0,
+                    counted: 1,
+                    proposals_support: 0,
+                    inv_delta_sum: inv,
+                    support_counted: support,
+                    moments,
+                }
+            })
+            .collect();
         Ok(EnsembleDriver {
             view,
             r,
@@ -192,7 +172,6 @@ impl<'g> EnsembleDriver<'g> {
             seed: config.seed,
             prefetch: config.prefetch.clone(),
             oracle,
-            pool,
             cells,
             done_per_chain: 0,
             budget: config.iterations,
@@ -229,12 +208,11 @@ impl EngineDriver for EnsembleDriver<'_> {
                 // same snapshot position.
                 let replay_state = cell_ref.snap.proposal_rng;
                 let cell = cell_ref.clone();
-                let (oracle, pool, results) = (&self.oracle, &self.pool, &results);
+                let (oracle, results) = (&self.oracle, &results);
                 let pacing = &pacings[c];
                 let n = self.n;
                 scope.spawn(move |_| {
-                    let mut calc = pool.checkout();
-                    let target = fn_target(|v: &Vertex| oracle.dep(*v, 0, &mut calc));
+                    let target = fn_target(|v: &Vertex| oracle.dep(*v, 0));
                     let mut chain: MetropolisHastings<_, _, SmallRng> = MetropolisHastings::restore(
                         target,
                         UniformProposal::new(n),
@@ -246,7 +224,7 @@ impl EngineDriver for EnsembleDriver<'_> {
                     // prefetch squad can never spin forever.
                     let guard = PacingGuard(pacing);
                     for t in 1..=iters {
-                        guard.0.progress.store(t, Ordering::Release);
+                        guard.0.reach(t);
                         let out = chain.step();
                         cell.sum_delta += out.density;
                         cell.counted += 1;
@@ -265,10 +243,9 @@ impl EngineDriver for EnsembleDriver<'_> {
                 });
                 for lane in 0..workers_per_chain {
                     let wrng = SmallRng::from_state(replay_state);
-                    let (oracle, pool) = (&self.oracle, &self.pool);
+                    let oracle = &self.oracle;
                     let n = self.n;
                     scope.spawn(move |_| {
-                        let mut calc = pool.checkout();
                         prefetch_lane(
                             UniformProposal::new(n),
                             wrng,
@@ -276,7 +253,7 @@ impl EngineDriver for EnsembleDriver<'_> {
                             iters,
                             Lane { lane, lanes: workers_per_chain, depth, pacing },
                             |v: Vertex| {
-                                oracle.warm(v, &mut calc);
+                                oracle.warm(v, 0);
                             },
                         );
                     });
@@ -359,7 +336,7 @@ impl EngineDriver for EnsembleDriver<'_> {
                 accepted as f64 / total_proposals as f64
             },
             iterations_per_chain: iterations,
-            spd_passes: self.oracle.cached_sources() as u64,
+            spd_passes: self.oracle.spd_passes(),
             oracle_stats: self.oracle.stats(),
         }
     }
@@ -392,12 +369,7 @@ impl CheckpointDriver for EnsembleDriver<'_> {
             w.u64(mean);
             w.u64(m2);
         }
-        save_oracle(
-            w,
-            self.oracle.cached_sources() as u64,
-            self.oracle.stats(),
-            self.oracle.snapshot_rows(),
-        );
+        save_oracle(w, &self.oracle, None);
     }
 }
 
@@ -436,10 +408,8 @@ impl<'g> EnsembleDriver<'g> {
                 })
             })
             .collect::<Result<_, _>>()?;
-        let (_passes, stats, rows) = restore_oracle(r)?;
-        let oracle = SharedProbeOracle::for_view(view, &[probe]);
-        oracle.restore_cache(rows, stats);
-        let pool = SpdWorkspacePool::for_view_workers(view, chains * prefetch.threads.max(1));
+        let mut oracle = ProbeOracle::for_view(view, &[probe]);
+        restore_oracle(r, &mut oracle)?;
         Ok(EnsembleDriver {
             view,
             r: probe,
@@ -448,7 +418,6 @@ impl<'g> EnsembleDriver<'g> {
             seed,
             prefetch,
             oracle,
-            pool,
             cells,
             done_per_chain,
             budget,
@@ -517,17 +486,6 @@ pub fn resume_ensemble<'g>(
     ))
 }
 
-/// Back-compatible entry point: `chains` sequential chains, no prefetch.
-pub fn run_parallel_ensemble(
-    g: &CsrGraph,
-    r: Vertex,
-    chains: usize,
-    iterations: u64,
-    seed: u64,
-) -> Result<EnsembleEstimate, CoreError> {
-    run_ensemble(g, r, &EnsembleConfig::new(chains, iterations, seed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -538,7 +496,7 @@ mod tests {
     fn pooled_estimate_converges() {
         let g = generators::barbell(8, 1);
         let limit = eq7_limit(&mhbc_spd::dependency_profile_par(&g, 8, 0));
-        let est = run_parallel_ensemble(&g, 8, 4, 8_000, 3).expect("valid config");
+        let est = run_ensemble(&g, 8, &EnsembleConfig::new(4, 8_000, 3)).expect("valid config");
         assert!((est.bc - limit).abs() < 0.02, "pooled {} vs limit {limit}", est.bc);
         assert_eq!(est.per_chain.len(), 4);
         assert_eq!(est.iterations_per_chain, 8_000);
@@ -553,7 +511,7 @@ mod tests {
         // density series, so within-chain variance is positive and R-hat
         // is defined.
         let g = generators::lollipop(8, 4);
-        let est = run_parallel_ensemble(&g, 9, 4, 20_000, 5).expect("valid config");
+        let est = run_ensemble(&g, 9, &EnsembleConfig::new(4, 20_000, 5)).expect("valid config");
         assert!(
             est.r_hat.is_finite() && (est.r_hat - 1.0).abs() < 0.05,
             "R-hat {} should be near 1",
@@ -564,7 +522,7 @@ mod tests {
     #[test]
     fn shared_cache_bounds_total_passes() {
         let g = generators::barbell(6, 2);
-        let est = run_parallel_ensemble(&g, 6, 6, 3_000, 7).expect("valid config");
+        let est = run_ensemble(&g, 6, &EnsembleConfig::new(6, 3_000, 7)).expect("valid config");
         // 6 chains x 3000 iterations, but the state space has only 16
         // vertices: the shared cache caps the distinct SPD passes.
         assert!(
@@ -680,6 +638,21 @@ mod tests {
     }
 
     #[test]
+    fn resume_rejects_a_cut_oracle_row() {
+        let g = generators::lollipop(6, 3);
+        let view = SpdView::direct(&g);
+        let mut engine = EnsembleDriver::create(view, 7, &EnsembleConfig::new(2, 600, 5))
+            .expect("valid config")
+            .into_engine(EngineConfig::fixed().with_segment(200));
+        assert!(engine.step_segment().is_none());
+        let cut = crate::checkpoint::cut_last_row(&engine.checkpoint(), 1);
+        let err = resume_ensemble(view, &cut, PrefetchConfig::sequential())
+            .err()
+            .expect("cut row refused");
+        assert!(matches!(err, CoreError::Checkpoint { .. }), "{err}");
+    }
+
+    #[test]
     fn reduced_ensemble_is_deterministic_and_prefetch_invariant() {
         use mhbc_graph::reduce::{reduce, ReduceLevel};
         let g = generators::lollipop(6, 3);
@@ -703,7 +676,7 @@ mod tests {
     #[test]
     fn single_chain_has_nan_r_hat() {
         let g = generators::barbell(4, 1);
-        let est = run_parallel_ensemble(&g, 4, 1, 200, 1).expect("valid config");
+        let est = run_ensemble(&g, 4, &EnsembleConfig::new(1, 200, 1)).expect("valid config");
         assert!(est.r_hat.is_nan());
     }
 
@@ -711,12 +684,12 @@ mod tests {
     fn validation_errors() {
         let g = generators::path(10);
         assert!(matches!(
-            run_parallel_ensemble(&g, 99, 2, 10, 0),
+            run_ensemble(&g, 99, &EnsembleConfig::new(2, 10, 0)),
             Err(CoreError::ProbeOutOfRange { .. })
         ));
         let tiny = generators::path(2);
         assert!(matches!(
-            run_parallel_ensemble(&tiny, 0, 2, 10, 0),
+            run_ensemble(&tiny, 0, &EnsembleConfig::new(2, 10, 0)),
             Err(CoreError::GraphTooSmall { .. })
         ));
     }

@@ -4,12 +4,16 @@ use crate::checkpoint::{CheckpointKind, Reader, Writer};
 use crate::engine::{CheckpointDriver, EngineConfig, EngineDriver, EstimationEngine};
 use crate::optimal::min_dependency_ratio;
 use crate::oracle::{OracleStats, ProbeOracle};
+use crate::pipeline::{Pacing, Prefetch, Replay};
 use crate::single::{restore_oracle, save_oracle};
 use crate::CoreError;
 use mhbc_graph::{CsrGraph, Vertex};
-use mhbc_mcmc::{ChainSnapshot, MetropolisHastings, Proposal, TargetDensity};
+use mhbc_mcmc::{
+    ChainSnapshot, MetropolisHastings, Proposal, RngSnapshot, StreamSplit, TargetDensity,
+};
 use mhbc_spd::SpdView;
-use rand::{rngs::SmallRng, Rng, RngExt};
+use rand::{rngs::SmallRng, Rng, RngExt, SeedableRng};
+use std::sync::Arc;
 
 /// Chain state: `(probe index into R, source vertex)` — the pair `⟨r, v⟩`
 /// of §4.3.
@@ -17,9 +21,10 @@ pub(crate) type JointState = (u32, Vertex);
 
 /// Uniform independence proposal over `R × V(G)` (both coordinates drawn
 /// uniformly, as in the paper).
-pub(crate) struct JointProposal {
-    pub(crate) k: u32,
-    pub(crate) n: u32,
+#[derive(Debug, Clone)]
+pub struct JointProposal {
+    k: u32,
+    n: u32,
 }
 
 impl Proposal<JointState> for JointProposal {
@@ -38,7 +43,7 @@ impl Proposal<JointState> for JointProposal {
 
 /// Target density `f(⟨r, v⟩) = δ_{v•}(r)` — unnormalised Eq 18.
 struct JointTarget<'g> {
-    oracle: ProbeOracle<'g>,
+    oracle: Arc<ProbeOracle<'g>>,
 }
 
 impl TargetDensity for JointTarget<'_> {
@@ -216,8 +221,8 @@ impl JointAccumulator {
 /// simultaneously (the backward accumulation yields the whole dependency
 /// vector).
 ///
-/// This type is the *sequential* streaming sampler; see
-/// [`crate::pipeline::run_joint`] for the bit-identical multi-threaded run.
+/// This type is the streaming sampler; [`crate::pipeline::run_joint`] runs
+/// the same engine with prefetch workers warming its oracle.
 pub struct JointSpaceSampler<'g> {
     chain: MetropolisHastings<JointTarget<'g>, JointProposal, SmallRng>,
     probes: Vec<Vertex>,
@@ -272,6 +277,23 @@ pub(crate) fn validate_joint(
     Ok((n, probes.len()))
 }
 
+/// Joint-space analogue of [`crate::single::derive_streams`]: the initial
+/// state and the proposal and acceptance streams, from the seed.
+fn derive_joint_streams(
+    seed: u64,
+    initial: Option<(usize, Vertex)>,
+    k: usize,
+    n: usize,
+) -> (JointState, SmallRng, SmallRng) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let initial: JointState = match initial {
+        Some((i, v)) => (i as u32, v),
+        None => (rng.random_range(0..k as u32), rng.random_range(0..n as Vertex)),
+    };
+    let accept_rng = rng.split_stream();
+    (initial, rng, accept_rng)
+}
+
 impl<'g> JointSpaceSampler<'g> {
     /// Builds a sampler for probe set `probes` on `g`.
     pub fn new(
@@ -294,9 +316,8 @@ impl<'g> JointSpaceSampler<'g> {
         config: JointSpaceConfig,
     ) -> Result<Self, CoreError> {
         let (n, k) = validate_joint(&view, probes, &config)?;
-        let (initial, prop_rng, acc_rng) =
-            crate::pipeline::derive_joint_streams(config.seed, config.initial, k, n);
-        let target = JointTarget { oracle: ProbeOracle::for_view(view, probes) };
+        let (initial, prop_rng, acc_rng) = derive_joint_streams(config.seed, config.initial, k, n);
+        let target = JointTarget { oracle: Arc::new(ProbeOracle::for_view(view, probes)) };
         let chain = MetropolisHastings::with_streams(
             target,
             JointProposal { k: k as u32, n: n as u32 },
@@ -324,9 +345,9 @@ impl<'g> JointSpaceSampler<'g> {
     /// Adds the chain's current state to the estimator multisets.
     fn absorb_current_state(&mut self) {
         let (j, v) = *self.chain.state();
-        // One cached lookup returns delta_v on every probe.
-        let deps = self.chain.target_mut().oracle.deps(v).to_vec();
-        self.acc.absorb(j as usize, &deps);
+        // One cached lookup returns delta_v on every probe, read in place.
+        let acc = &mut self.acc;
+        self.chain.target().oracle.with_deps(v, 0, |row| acc.absorb(j as usize, row));
     }
 
     /// Current estimate of `BC_{r_j}(r_i)`; `NaN` while `M(j)` is empty.
@@ -362,7 +383,7 @@ impl<'g> JointSpaceSampler<'g> {
     /// stopping and checkpointing.
     pub fn into_engine(self, engine: EngineConfig) -> EstimationEngine<JointDriver<'g>> {
         let budget = self.config.iterations;
-        EstimationEngine::new(JointDriver { sampler: self }, budget, engine)
+        EstimationEngine::new(JointDriver { sampler: self, pacing: None }, budget, engine)
     }
 
     /// Finalises early.
@@ -379,13 +400,16 @@ impl<'g> JointSpaceSampler<'g> {
     }
 }
 
-/// [`EngineDriver`] for the sequential joint-space sampler. The monitored
+/// [`EngineDriver`] for the joint-space sampler. The monitored
 /// series is the occupied state's dependency `δ_{v•}(r_j)` — the same
 /// series the single-space diagnostics use; a stderr target applies to its
 /// normalised mean (a proxy for overall chain stability, since the joint
 /// estimate is a matrix rather than one scalar).
 pub struct JointDriver<'g> {
     sampler: JointSpaceSampler<'g>,
+    /// Progress bounds for prefetch workers, when [`crate::pipeline::drive`]
+    /// attached them.
+    pacing: Option<Arc<Pacing>>,
 }
 
 impl JointDriver<'_> {
@@ -406,7 +430,14 @@ impl EngineDriver for JointDriver<'_> {
     }
 
     fn run_segment(&mut self, iters: u64, out: &mut Vec<f64>) {
-        for _ in 0..iters {
+        let start = self.sampler.iteration;
+        if let Some(p) = &self.pacing {
+            p.commit(start + iters);
+        }
+        for t in start + 1..=start + iters {
+            if let Some(p) = &self.pacing {
+                p.reach(t);
+            }
             self.sampler.step_raw();
             out.push(self.sampler.chain.current_density());
         }
@@ -498,7 +529,7 @@ impl CheckpointDriver for JointDriver<'_> {
         }
         s.acc.save_into(w);
         let oracle = &s.chain.target().oracle;
-        save_oracle(w, oracle.spd_passes(), oracle.stats(), oracle.snapshot_rows());
+        save_oracle(w, oracle, None);
     }
 }
 
@@ -544,15 +575,40 @@ impl<'g> JointDriver<'g> {
         if acc.k != k {
             return Err(crate::checkpoint::corrupt("probe count does not match accumulator"));
         }
-        let (passes, stats, rows) = restore_oracle(r)?;
         let mut oracle = ProbeOracle::for_view(view, &probes);
-        oracle.restore_cache(rows, stats, passes);
+        restore_oracle(r, &mut oracle)?;
         let chain = MetropolisHastings::restore(
-            JointTarget { oracle },
+            JointTarget { oracle: Arc::new(oracle) },
             JointProposal { k: k as u32, n: n as u32 },
             snap,
         );
-        Ok(JointDriver { sampler: JointSpaceSampler { chain, probes, config, iteration, acc } })
+        let sampler = JointSpaceSampler { chain, probes, config, iteration, acc };
+        Ok(JointDriver { sampler, pacing: None })
+    }
+}
+
+impl<'g> Prefetch<'g> for JointDriver<'g> {
+    type State = JointState;
+    type Proposal = JointProposal;
+
+    fn replay(&self) -> Replay<'g, JointProposal> {
+        let chain = &self.sampler.chain;
+        let oracle = &chain.target().oracle;
+        let (k, n) = (oracle.probes().len(), oracle.view().num_vertices());
+        Replay {
+            oracle: Arc::clone(oracle),
+            proposal: JointProposal { k: k as u32, n: n as u32 },
+            rng: SmallRng::restore_state(chain.snapshot().proposal_rng),
+            column: 0,
+        }
+    }
+
+    fn warm(oracle: &ProbeOracle<'g>, (j, v): JointState, _column: usize) {
+        oracle.warm(v, j as usize);
+    }
+
+    fn attach(&mut self, pacing: Arc<Pacing>) {
+        self.pacing = Some(pacing);
     }
 }
 

@@ -21,12 +21,12 @@
 //! Supporting modules:
 //!
 //! - [`oracle`] — memoised dependency-score evaluation (the chain revisits
-//!   states; re-evaluating `δ_{v•}(r)` would waste SPD passes), with
-//!   second-chance eviction for capacity-limited caches;
+//!   states; re-evaluating `δ_{v•}(r)` would waste SPD passes): one
+//!   thread-safe row store shared by every consumer of a run;
 //! - [`pipeline`] — speculative density prefetching: worker threads replay
-//!   the independence chain's proposal stream and evaluate upcoming
-//!   densities ahead of the chain thread, with bit-identical results to the
-//!   sequential samplers;
+//!   the independence chain's proposal stream and warm the ordinary
+//!   engine's oracle ahead of the chain thread, with bit-identical results
+//!   to the sequential samplers;
 //! - [`optimal`] — exact ground-truth quantities: the optimal distribution,
 //!   `µ(r)`, exact relative scores, and the Theorem 2 separator checker;
 //! - [`planner`] — the (ε, δ) sample-size planner built on Ineq 14/27.
@@ -109,9 +109,7 @@ mod single;
 pub use engine::{
     resume_joint, resume_single, AdaptiveReport, EngineConfig, EstimationEngine, StopReason,
 };
-pub use ensemble::{
-    run_ensemble, run_ensemble_view, run_parallel_ensemble, EnsembleConfig, EnsembleEstimate,
-};
+pub use ensemble::{run_ensemble, run_ensemble_view, EnsembleConfig, EnsembleEstimate};
 pub use error::CoreError;
 pub use extended::{extended_relative_sampled, ExtendedEstimate};
 pub use joint::{

@@ -6,12 +6,12 @@
 //! high-dependency sources). Each distinct source costs one SPD pass
 //! (`O(|E|)`); caching the result turns revisits into hash lookups.
 //!
-//! For the joint-space sampler the oracle stores the dependency of a source
-//! on *all* probe vertices at once — a single backward accumulation already
-//! produces `δ_{v•}(x)` for every `x` (Eq 4), so the per-probe marginal cost
-//! is zero.
+//! A cached row holds the dependency of a source on *every* probe at once —
+//! a single backward accumulation already produces `δ_{v•}(x)` for every
+//! `x` (Eq 4), so the per-probe marginal cost is zero. The joint-space
+//! sampler reads whole rows; single-space chains read one column each.
 //!
-//! Both oracles evaluate through an [`SpdView`] — a graph together with
+//! The oracle evaluates through an [`SpdView`] — a graph together with
 //! (optionally) its reduction from `mhbc_graph::reduce`. With a reduction
 //! active, cache entries are keyed by [`SpdView::row_key`] rather than by
 //! source vertex: structurally equivalent sources (twins of equal pendant
@@ -20,22 +20,27 @@
 //! pass over the reduced CSR instead of one per member. Direct views key by
 //! vertex id, which reproduces the pre-reduction behaviour exactly.
 //!
-//! A [`ProbeOracle`] also serves several *independent* consumers at once —
-//! the multi-probe scheduler gives every probe's chain one column of a
-//! single oracle over the whole probe set, so a source costs one SPD pass
-//! however many chains propose it. Each lookup, and the SPD pass a miss
-//! performs, is charged to the column whose consumer asked, so per-column
-//! figures sum to the oracle's totals.
+//! One [`ProbeOracle`] serves every consumer of a run, on one thread or
+//! many: the multi-probe scheduler gives every probe's chain one column of
+//! a single oracle over the whole probe set, chain ensembles share one
+//! oracle across their chain threads, and prefetch workers
+//! ([`crate::pipeline`]) [`ProbeOracle::warm`] the rows a chain is about to
+//! read. Lookups take a read lock; a miss computes its SPD pass outside any
+//! lock, with a workspace checked out of the oracle's own
+//! [`SpdWorkspacePool`], and inserts under a short write lock. Two threads
+//! may compute the same row at once; rows are a pure function of the view
+//! and the row key, so the first insert wins and the other is dropped.
 //!
-//! Capacity-limited oracles evict with a second-chance (CLOCK) policy: each
-//! cached row carries a referenced bit that hits set and the clock hand
-//! clears, so the chain's hot working set — exactly the high-dependency
-//! sources the stationary law revisits — survives evictions that a
-//! wholesale flush would destroy.
+//! Each lookup is charged to the column whose consumer asked, and an SPD
+//! pass to the column whose lookup or warm *inserted* the row, so
+//! per-column figures sum to the totals and [`ProbeOracle::spd_passes`]
+//! equals the number of distinct rows at every thread count. Only the
+//! hit/miss split of a prefetched run depends on timing.
 
 use mhbc_graph::{CsrGraph, Vertex};
-use mhbc_spd::{SpdView, ViewCalculator};
+use mhbc_spd::{SpdView, SpdWorkspacePool};
 use parking_lot::RwLock;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -78,36 +83,34 @@ fn validate_probes(view: &SpdView<'_>, probes: &[Vertex]) -> Vec<bool> {
     flag
 }
 
-/// One CLOCK ring slot: a cached dependency row plus its second-chance bit.
-struct Slot {
-    key: u64,
-    row: Box<[f64]>,
-    referenced: bool,
+/// Lookups and SPD passes charged to one probe column.
+#[derive(Debug, Default)]
+struct Charge {
+    hits: AtomicU64,
+    misses: AtomicU64,
+    passes: AtomicU64,
 }
 
-/// Lookups and SPD passes charged to one probe column.
-#[derive(Debug, Clone, Copy, Default)]
-struct Charge {
-    stats: OracleStats,
-    passes: u64,
+impl Charge {
+    fn stats(&self) -> OracleStats {
+        OracleStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+        }
+    }
 }
 
 /// Memoises `δ_{source•}(r)` for a fixed probe set, keyed by the source's
-/// [`SpdView::row_key`] (equal to the vertex id on direct views).
-///
-/// Unbounded by default; [`ProbeOracle::with_capacity_limit`] bounds the
-/// number of cached rows with second-chance eviction (see module docs).
+/// [`SpdView::row_key`] (equal to the vertex id on direct views). Shareable
+/// across threads (see the module docs).
 pub struct ProbeOracle<'g> {
     view: SpdView<'g>,
     probes: Vec<Vertex>,
     probe_flag: Vec<bool>,
-    calc: ViewCalculator<'g>,
-    index: HashMap<u64, usize>,
-    slots: Vec<Slot>,
-    hand: usize,
-    capacity: usize,
+    pool: SpdWorkspacePool<'g>,
+    rows: RwLock<HashMap<u64, Box<[f64]>>>,
     /// Per-column counters (module docs). Passes are counted here rather
-    /// than read off the calculator so a restored checkpoint's count keeps
+    /// than read off the calculators so a restored checkpoint's count keeps
     /// accumulating across save/resume boundaries.
     charges: Vec<Charge>,
 }
@@ -128,23 +131,10 @@ impl<'g> ProbeOracle<'g> {
             view,
             probes: probes.to_vec(),
             probe_flag,
-            calc: ViewCalculator::new(view),
-            index: HashMap::new(),
-            slots: Vec::new(),
-            hand: 0,
-            capacity: usize::MAX,
-            charges: vec![Charge::default(); probes.len()],
+            pool: SpdWorkspacePool::for_view(view),
+            rows: RwLock::new(HashMap::new()),
+            charges: probes.iter().map(|_| Charge::default()).collect(),
         }
-    }
-
-    /// Bounds the cache to `entries` rows, evicted one at a time by the
-    /// second-chance (CLOCK) policy: the hand sweeps the ring clearing
-    /// referenced bits and replaces the first slot whose bit is already
-    /// clear. Sources the chain keeps revisiting keep their bit set and
-    /// survive; one-shot proposals are recycled first.
-    pub fn with_capacity_limit(mut self, entries: usize) -> Self {
-        self.capacity = entries.max(1);
-        self
     }
 
     /// The probe set.
@@ -155,260 +145,147 @@ impl<'g> ProbeOracle<'g> {
     /// The view this oracle evaluates against.
     pub fn view(&self) -> SpdView<'g> {
         self.view
+    }
+
+    fn key(&self, source: Vertex) -> u64 {
+        self.view.row_key(source, self.probe_flag[source as usize])
+    }
+
+    /// Runs `f` over the cached (or freshly computed) row
+    /// `δ_{source•}(probes)` without copying it out; the lookup, and the
+    /// SPD pass a miss inserts, are charged to column `col`.
+    pub fn with_deps<T>(&self, source: Vertex, col: usize, f: impl FnOnce(&[f64]) -> T) -> T {
+        let key = self.key(source);
+        let charge = &self.charges[col];
+        {
+            let rows = self.rows.read();
+            if let Some(row) = rows.get(&key) {
+                charge.hits.fetch_add(1, Ordering::Relaxed);
+                return f(row);
+            }
+        }
+        charge.misses.fetch_add(1, Ordering::Relaxed);
+        let row = self.compute(source);
+        let out = f(&row);
+        self.insert(key, row, col);
+        out
     }
 
     /// `δ_{source•}(r)` for every probe `r`, cached; the lookup is charged
     /// to column 0 (a joint-space chain reads every column at once).
-    pub fn deps(&mut self, source: Vertex) -> &[f64] {
-        let i = self.lookup(source, 0);
-        &self.slots[i].row
+    pub fn deps(&self, source: Vertex) -> Vec<f64> {
+        self.with_deps(source, 0, |row| row.to_vec())
     }
 
     /// `δ_{source•}(probes[idx])`, cached; the lookup, and the SPD pass a
-    /// miss performs, are charged to column `idx`.
-    pub fn dep(&mut self, source: Vertex, idx: usize) -> f64 {
-        let i = self.lookup(source, idx);
-        self.slots[i].row[idx]
+    /// miss inserts, are charged to column `idx`.
+    pub fn dep(&self, source: Vertex, idx: usize) -> f64 {
+        self.with_deps(source, idx, |row| row[idx])
     }
 
-    /// The slot holding `source`'s row, computing it on a miss; charges
-    /// column `col`.
-    fn lookup(&mut self, source: Vertex, col: usize) -> usize {
-        let key = self.view.row_key(source, self.probe_flag[source as usize]);
-        let charge = &mut self.charges[col];
-        if let Some(&i) = self.index.get(&key) {
-            charge.stats.hits += 1;
-            self.slots[i].referenced = true;
-            return i;
+    /// Ensures `source`'s row is cached, computing it if needed; returns
+    /// whether this call inserted it (and charged its SPD pass to column
+    /// `col`). The prefetch workers' entry point: it counts no lookup, so
+    /// warming never changes how many lookups a chain's column records.
+    pub fn warm(&self, source: Vertex, col: usize) -> bool {
+        let key = self.key(source);
+        if self.rows.read().contains_key(&key) {
+            return false;
         }
-        charge.stats.misses += 1;
-        charge.passes += 1;
+        let row = self.compute(source);
+        self.insert(key, row, col)
+    }
+
+    fn compute(&self, source: Vertex) -> Box<[f64]> {
         let mut row = Vec::with_capacity(self.probes.len());
-        self.calc.dependency_on_many(source, &self.probes, &mut row);
-        let slot = Slot { key, row: row.into_boxed_slice(), referenced: false };
-        let i = if self.slots.len() < self.capacity {
-            self.slots.push(slot);
-            self.slots.len() - 1
-        } else {
-            // Second-chance sweep: clear referenced bits until an
-            // unreferenced victim comes under the hand.
-            loop {
-                let h = self.hand;
-                self.hand = (self.hand + 1) % self.slots.len();
-                if self.slots[h].referenced {
-                    self.slots[h].referenced = false;
-                } else {
-                    self.index.remove(&self.slots[h].key);
-                    self.slots[h] = slot;
-                    break h;
-                }
+        self.pool.checkout().dependency_on_many(source, &self.probes, &mut row);
+        row.into_boxed_slice()
+    }
+
+    /// Inserts a computed row unless another thread got there first;
+    /// charges the pass to `col` only when this call inserted it.
+    fn insert(&self, key: u64, row: Box<[f64]>, col: usize) -> bool {
+        let mut rows = self.rows.write();
+        match rows.entry(key) {
+            Entry::Vacant(e) => {
+                e.insert(row);
+                // Charged under the lock: a thread that sees the row (it
+                // takes the lock to look) also sees its pass.
+                self.charges[col].passes.fetch_add(1, Ordering::Relaxed);
+                true
             }
-        };
-        self.index.insert(key, i);
-        i
+            Entry::Occupied(_) => false,
+        }
     }
 
     /// Cache statistics, summed over all columns.
     pub fn stats(&self) -> OracleStats {
-        self.charges.iter().fold(OracleStats::default(), |acc, c| OracleStats {
-            hits: acc.hits + c.stats.hits,
-            misses: acc.misses + c.stats.misses,
+        self.charges.iter().map(Charge::stats).fold(OracleStats::default(), |acc, s| OracleStats {
+            hits: acc.hits + s.hits,
+            misses: acc.misses + s.misses,
         })
     }
 
-    /// Number of SPD passes performed (equals `stats().misses` while the
-    /// cache is unbounded), counted across checkpoint/resume boundaries.
+    /// Number of SPD passes performed — the rows inserted, counted across
+    /// checkpoint/resume boundaries.
     pub fn spd_passes(&self) -> u64 {
-        self.charges.iter().map(|c| c.passes).sum()
+        (0..self.charges.len()).map(|i| self.column_passes(i)).sum()
     }
 
     /// Cache statistics charged to column `idx`.
     pub fn column_stats(&self, idx: usize) -> OracleStats {
-        self.charges[idx].stats
+        self.charges[idx].stats()
     }
 
-    /// SPD passes charged to column `idx`: the misses its lookups caused.
+    /// SPD passes charged to column `idx`: the rows its lookups and warms
+    /// inserted.
     pub fn column_passes(&self, idx: usize) -> u64 {
-        self.charges[idx].passes
+        self.charges[idx].passes.load(Ordering::Relaxed)
     }
 
     /// Number of distinct dependency rows currently cached.
     pub fn cached_sources(&self) -> usize {
-        self.slots.len()
+        self.rows.read().len()
     }
 
-    /// The cached rows as `(row key, dependency row)` pairs, sorted by key —
-    /// a deterministic snapshot for checkpointing (insertion order is a
-    /// timing artifact under the shared oracle; key order is canonical).
-    pub fn snapshot_rows(&self) -> Vec<(u64, Vec<f64>)> {
-        let mut rows: Vec<(u64, Vec<f64>)> =
-            self.slots.iter().map(|s| (s.key, s.row.to_vec())).collect();
-        rows.sort_by_key(|&(k, _)| k);
-        rows
+    /// The checkpoint image of the cache: `(SPD passes, lookup statistics,
+    /// (row key, dependency row) pairs)`. For `Some(idx)`, column `idx`'s
+    /// charges and entries — what a one-probe oracle for `probes[idx]`
+    /// restores from, so a sampler reading one column checkpoints in the
+    /// single-probe format; for `None`, the totals and whole rows. Rows are
+    /// sorted by key (insertion order is a timing artifact under
+    /// prefetching), and passes and rows are read under one lock, so a
+    /// concurrent warm cannot add a row whose pass the image lacks.
+    pub fn snapshot(&self, col: Option<usize>) -> (u64, OracleStats, Vec<(u64, Vec<f64>)>) {
+        let rows = self.rows.read();
+        let (passes, stats) = match col {
+            Some(idx) => (self.column_passes(idx), self.column_stats(idx)),
+            None => (self.spd_passes(), self.stats()),
+        };
+        let mut image: Vec<(u64, Vec<f64>)> = rows
+            .iter()
+            .map(|(&k, row)| (k, col.map_or_else(|| row.to_vec(), |idx| vec![row[idx]])))
+            .collect();
+        image.sort_by_key(|&(k, _)| k);
+        (passes, stats, image)
     }
 
-    /// Column `idx` of [`ProbeOracle::snapshot_rows`]: the rows a
-    /// one-probe oracle for `probes[idx]` restores from, so a sampler
-    /// reading one column checkpoints in the single-probe format.
-    pub fn column_rows(&self, idx: usize) -> Vec<(u64, Vec<f64>)> {
-        let mut rows: Vec<(u64, Vec<f64>)> =
-            self.slots.iter().map(|s| (s.key, vec![s.row[idx]])).collect();
-        rows.sort_by_key(|&(k, _)| k);
-        rows
-    }
-
-    /// Restores a checkpointed cache: the given rows become the cache
-    /// contents (referenced bits cleared — only meaningful under a capacity
-    /// limit, which the samplers never set), and the counters resume from
-    /// the checkpointed values, charged to column 0, so `stats()` /
-    /// [`ProbeOracle::spd_passes`] continue as if the run had never stopped.
+    /// Restores a checkpointed cache: the given rows (each one entry per
+    /// probe — the checkpoint decoder checks) become the cache contents,
+    /// and the counters resume from the checkpointed values, charged to
+    /// column 0, so `stats()` / [`ProbeOracle::spd_passes`] continue as if
+    /// the run had never stopped.
     pub fn restore_cache(&mut self, rows: Vec<(u64, Vec<f64>)>, stats: OracleStats, passes: u64) {
-        debug_assert!(self.slots.is_empty(), "restore into a fresh oracle");
-        for (key, row) in rows {
-            let slot = Slot { key, row: row.into_boxed_slice(), referenced: false };
-            self.index.insert(key, self.slots.len());
-            self.slots.push(slot);
-        }
-        self.charges[0] = Charge { stats, passes };
-    }
-}
-
-/// Thread-safe memoised dependency oracle shared by *parallel* consumers:
-/// chain ensembles (many chains over one probe set share every density
-/// evaluation) and the speculative prefetch pipeline (workers warm the
-/// cache ahead of the chain thread).
-///
-/// Lookups take a read lock; misses compute the SPD pass *outside* any lock
-/// (each caller thread supplies its own [`ViewCalculator`], usually checked
-/// out of an [`mhbc_spd::SpdWorkspacePool`] bound to the same view) and
-/// then insert under a short write lock. Duplicate concurrent computations
-/// of the same row are possible but harmless (last write wins with equal
-/// values — rows are a pure function of the view and the row key) — which
-/// is why [`SharedProbeOracle::cached_sources`], not the miss counter, is
-/// the deterministic "distinct SPD passes" figure the pipelined samplers
-/// report.
-pub struct SharedProbeOracle<'g> {
-    view: SpdView<'g>,
-    probes: Vec<Vertex>,
-    probe_flag: Vec<bool>,
-    cache: RwLock<HashMap<u64, Box<[f64]>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl<'g> SharedProbeOracle<'g> {
-    /// Shared oracle evaluating directly on `graph`.
-    pub fn new(graph: &'g CsrGraph, probes: &[Vertex]) -> Self {
-        Self::for_view(SpdView::direct(graph), probes)
-    }
-
-    /// Shared oracle evaluating through `view` (direct or reduced). With a
-    /// reduction, every probe must be retained.
-    pub fn for_view(view: SpdView<'g>, probes: &[Vertex]) -> Self {
-        let probe_flag = validate_probes(&view, probes);
-        SharedProbeOracle {
-            view,
-            probes: probes.to_vec(),
-            probe_flag,
-            cache: RwLock::new(HashMap::new()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// The probe set.
-    pub fn probes(&self) -> &[Vertex] {
-        &self.probes
-    }
-
-    /// The view this oracle evaluates against.
-    pub fn view(&self) -> SpdView<'g> {
-        self.view
-    }
-
-    /// Runs `f` over the cached (or freshly computed) row
-    /// `δ_{source•}(probes)` without copying it out.
-    pub fn with_deps<T>(
-        &self,
-        source: Vertex,
-        calc: &mut ViewCalculator<'g>,
-        f: impl FnOnce(&[f64]) -> T,
-    ) -> T {
-        let key = self.view.row_key(source, self.probe_flag[source as usize]);
-        if let Some(row) = self.cache.read().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return f(row);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut row = Vec::with_capacity(self.probes.len());
-        calc.dependency_on_many(source, &self.probes, &mut row);
-        let out = f(&row);
-        self.cache.write().insert(key, row.into_boxed_slice());
-        out
-    }
-
-    /// `δ_{source•}(r)` for every probe, using `calc` for cache misses.
-    pub fn deps(&self, source: Vertex, calc: &mut ViewCalculator<'g>) -> Vec<f64> {
-        self.with_deps(source, calc, |row| row.to_vec())
-    }
-
-    /// Single-probe convenience (no allocation).
-    pub fn dep(&self, source: Vertex, idx: usize, calc: &mut ViewCalculator<'g>) -> f64 {
-        self.with_deps(source, calc, |row| row[idx])
-    }
-
-    /// Ensures `source`'s row is cached, computing it with `calc` if
-    /// needed; returns whether a computation happened. This is the prefetch
-    /// workers' entry point: it touches no statistics, so warming the cache
-    /// never perturbs the chain-observable hit/miss history.
-    pub fn warm(&self, source: Vertex, calc: &mut ViewCalculator<'g>) -> bool {
-        let key = self.view.row_key(source, self.probe_flag[source as usize]);
-        if self.cache.read().contains_key(&key) {
-            return false;
-        }
-        let mut row = Vec::with_capacity(self.probes.len());
-        calc.dependency_on_many(source, &self.probes, &mut row);
-        self.cache.write().insert(key, row.into_boxed_slice());
-        true
-    }
-
-    /// Cache statistics (aggregated over all threads).
-    pub fn stats(&self) -> OracleStats {
-        OracleStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Number of distinct dependency rows cached — the deterministic
-    /// SPD-pass count for a run whose proposal set is fixed (see type docs).
-    pub fn cached_sources(&self) -> usize {
-        self.cache.read().len()
-    }
-
-    /// The cached rows as `(row key, dependency row)` pairs, sorted by key
-    /// (see [`ProbeOracle::snapshot_rows`]). At a segment boundary of the
-    /// speculative pipeline this set is deterministic: it equals the rows
-    /// of every proposal consumed so far, whatever the thread count —
-    /// workers never speculate past the committed iteration bound.
-    pub fn snapshot_rows(&self) -> Vec<(u64, Vec<f64>)> {
-        let cache = self.cache.read();
-        let mut rows: Vec<(u64, Vec<f64>)> =
-            cache.iter().map(|(&k, row)| (k, row.to_vec())).collect();
-        rows.sort_by_key(|&(k, _)| k);
-        rows
-    }
-
-    /// Restores a checkpointed cache (counterpart of
-    /// [`ProbeOracle::restore_cache`] for the shared oracle).
-    pub fn restore_cache(&self, rows: Vec<(u64, Vec<f64>)>, stats: OracleStats) {
-        let mut cache = self.cache.write();
+        let cache = self.rows.get_mut();
         debug_assert!(cache.is_empty(), "restore into a fresh oracle");
         for (key, row) in rows {
+            assert_eq!(row.len(), self.probes.len(), "a cached row holds one entry per probe");
             cache.insert(key, row.into_boxed_slice());
         }
-        self.hits.store(stats.hits, Ordering::Relaxed);
-        self.misses.store(stats.misses, Ordering::Relaxed);
+        let charge = &mut self.charges[0];
+        *charge.hits.get_mut() = stats.hits;
+        *charge.misses.get_mut() = stats.misses;
+        *charge.passes.get_mut() = passes;
     }
 }
 
@@ -422,7 +299,7 @@ mod tests {
     #[test]
     fn caches_repeat_evaluations() {
         let g = generators::barbell(4, 2);
-        let mut o = ProbeOracle::new(&g, &[4]);
+        let o = ProbeOracle::new(&g, &[4]);
         let first = o.dep(0, 0);
         let second = o.dep(0, 0);
         assert_eq!(first, second);
@@ -434,10 +311,10 @@ mod tests {
     fn values_match_direct_kernel() {
         let g = generators::barbell(4, 2);
         let probes = [0u32, 4, 5, 9];
-        let mut o = ProbeOracle::new(&g, &probes);
+        let o = ProbeOracle::new(&g, &probes);
         let mut calc = DependencyCalculator::new(&g);
         for src in 0..g.num_vertices() as Vertex {
-            let row = o.deps(src).to_vec();
+            let row = o.deps(src);
             for (i, &p) in probes.iter().enumerate() {
                 assert_eq!(row[i], calc.dependency_on(&g, src, p), "src {src} probe {p}");
             }
@@ -454,7 +331,7 @@ mod tests {
         let view = SpdView::preprocessed(&g, &red);
         let probe = 0u32; // the centre (retained; leaves are pruned)
         assert!(red.is_retained(probe));
-        let mut o = ProbeOracle::for_view(view, &[probe]);
+        let o = ProbeOracle::for_view(view, &[probe]);
         let mut reference = DependencyCalculator::new(&g);
         for v in 0..g.num_vertices() as Vertex {
             let got = o.dep(v, 0);
@@ -476,131 +353,113 @@ mod tests {
     }
 
     #[test]
-    fn capacity_limit_evicts_one_at_a_time() {
-        let g = generators::cycle(10);
-        let mut o = ProbeOracle::new(&g, &[0]).with_capacity_limit(3);
-        for v in 0..9u32 {
-            let _ = o.dep(v, 0);
-        }
-        assert_eq!(o.cached_sources(), 3, "ring stays full, never flushed");
-        // Values still correct after evictions.
-        let mut calc = DependencyCalculator::new(&g);
-        assert_eq!(o.dep(7, 0), calc.dependency_on(&g, 7, 0));
+    fn warm_populates_without_touching_stats() {
+        let g = generators::barbell(4, 1);
+        let o = ProbeOracle::new(&g, &[4]);
+        assert!(o.warm(0, 0));
+        assert!(!o.warm(0, 0), "second warm is a no-op");
+        assert_eq!(o.stats(), OracleStats::default());
+        assert_eq!(o.spd_passes(), 1, "the inserting warm is charged the pass");
+        // The chain's subsequent read is a hit.
+        let _ = o.dep(0, 0);
+        assert_eq!(o.stats(), OracleStats { hits: 1, misses: 0 });
+        assert_eq!(o.spd_passes(), 1);
     }
 
     #[test]
-    fn second_chance_keeps_the_hot_working_set() {
-        let g = generators::cycle(16);
-        let mut o = ProbeOracle::new(&g, &[0]).with_capacity_limit(4);
-        // Establish a hot pair {1, 2} and keep touching it while a stream
-        // of one-shot sources (3..11) flows through the cache.
-        let _ = o.dep(1, 0);
-        let _ = o.dep(2, 0);
-        for v in 3..11u32 {
-            let _ = o.dep(v, 0);
-            let _ = o.dep(1, 0);
-            let _ = o.dep(2, 0);
-        }
+    fn shared_oracle_concurrent_consistency() {
+        // Four threads, released together, read and warm overlapping
+        // sources across three columns. Whatever the interleaving, every
+        // row is inserted once: passes = distinct rows = cached rows, the
+        // per-column charges add up to the totals, and every cached row is
+        // bit-equal to a fresh calculator's.
+        let g = generators::barbell(6, 2);
+        let probes = [6u32, 7, 2];
+        let o = ProbeOracle::new(&g, &probes);
+        let n = g.num_vertices() as Vertex;
+        let lookups_per_thread = 2 * n as u64;
+        let start = std::sync::Barrier::new(4);
+        crossbeam::thread::scope(|scope| {
+            for t in 0..4u32 {
+                let (o, start) = (&o, &start);
+                scope.spawn(move |_| {
+                    start.wait();
+                    for i in 0..n {
+                        let v = (i * 5 + t * 3) % n;
+                        let col = ((i + t) % 3) as usize;
+                        let _ = o.warm((v + 1) % n, col);
+                        let _ = o.dep(v, col);
+                        let _ = o.with_deps((v + 2) % n, col, |row| row[0]);
+                    }
+                });
+            }
+        })
+        .expect("threads joined");
+        assert_eq!(o.cached_sources(), g.num_vertices());
+        assert_eq!(o.spd_passes(), g.num_vertices() as u64);
         let stats = o.stats();
-        // Every re-touch of 1 and 2 must have been a hit: the CLOCK hand
-        // recycles the unreferenced one-shot slots instead.
-        assert_eq!(stats.hits, 2 * 8, "hot set evicted: {stats:?}");
-        assert_eq!(stats.misses, 2 + 8);
-        assert_eq!(o.cached_sources(), 4);
-    }
-
-    #[test]
-    fn wholesale_flush_would_have_lost_the_hot_set() {
-        // Documentation-by-test of the old behaviour's cost: with the
-        // CLOCK policy the hit rate of a skewed access pattern stays high
-        // even at a tiny capacity.
-        let g = generators::cycle(32);
-        let mut o = ProbeOracle::new(&g, &[0]).with_capacity_limit(2);
-        for round in 0..50u32 {
-            let _ = o.dep(0, 0); // hot
-            let _ = o.dep(1 + (round % 30), 0); // cold stream
+        assert_eq!(stats.hits + stats.misses, 4 * lookups_per_thread);
+        let cols = 0..probes.len();
+        assert_eq!(cols.clone().map(|c| o.column_passes(c)).sum::<u64>(), o.spd_passes());
+        assert_eq!(cols.clone().map(|c| o.column_stats(c).hits).sum::<u64>(), stats.hits);
+        assert_eq!(cols.map(|c| o.column_stats(c).misses).sum::<u64>(), stats.misses);
+        let mut reference = DependencyCalculator::new(&g);
+        for (key, row) in o.snapshot(None).2 {
+            let want: Vec<f64> =
+                probes.iter().map(|&p| reference.dependency_on(&g, key as Vertex, p)).collect();
+            let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&row), bits(&want), "source {key}");
         }
-        assert!(o.stats().hit_rate() > 0.45, "hit rate {:?}", o.stats());
+        // The race a timing cannot force: a row computed twice is inserted
+        // once, and only the inserting column is charged its pass.
+        let fresh = ProbeOracle::new(&g, &probes);
+        let key = fresh.key(3);
+        assert!(fresh.insert(key, fresh.compute(3), 1));
+        assert!(!fresh.insert(key, fresh.compute(3), 2));
+        assert_eq!((fresh.column_passes(1), fresh.column_passes(2)), (1, 0));
+        assert_eq!(fresh.cached_sources(), 1);
     }
 
     #[test]
     fn shared_oracle_matches_direct_kernel() {
         let g = generators::barbell(4, 2);
         let probes = [0u32, 4, 9];
-        let shared = SharedProbeOracle::new(&g, &probes);
-        let mut calc = ViewCalculator::new(SpdView::direct(&g));
+        let o = ProbeOracle::new(&g, &probes);
         let mut reference = DependencyCalculator::new(&g);
         for src in 0..g.num_vertices() as Vertex {
-            let row = shared.deps(src, &mut calc);
-            for (i, &p) in probes.iter().enumerate() {
-                assert_eq!(row[i], reference.dependency_on(&g, src, p));
-            }
+            o.with_deps(src, 0, |row| {
+                for (i, &p) in probes.iter().enumerate() {
+                    assert_eq!(row[i], reference.dependency_on(&g, src, p));
+                }
+            });
         }
         // Second sweep is pure cache hits.
         for src in 0..g.num_vertices() as Vertex {
-            let _ = shared.deps(src, &mut calc);
+            let _ = o.deps(src);
         }
-        let stats = shared.stats();
-        assert_eq!(stats.misses, g.num_vertices() as u64);
-        assert_eq!(stats.hits, g.num_vertices() as u64);
-        assert_eq!(shared.cached_sources(), g.num_vertices());
+        let n = g.num_vertices() as u64;
+        assert_eq!(o.stats(), OracleStats { hits: n, misses: n });
+        assert_eq!(o.cached_sources() as u64, n);
     }
 
     #[test]
     fn shared_reduced_oracle_coalesces_rows() {
+        // Warming every star vertex through the reduction inserts the
+        // centre's row and one row for the whole leaf class.
         let g = generators::star(8);
         let red = reduce(&g, ReduceLevel::Full).unwrap();
-        let view = SpdView::preprocessed(&g, &red);
-        let shared = SharedProbeOracle::for_view(view, &[0]);
-        let mut calc = ViewCalculator::new(view);
-        for v in 0..g.num_vertices() as Vertex {
-            let _ = shared.dep(v, 0, &mut calc);
-        }
-        assert_eq!(shared.cached_sources(), 2, "centre + coalesced leaf class");
-    }
-
-    #[test]
-    fn warm_populates_without_touching_stats() {
-        let g = generators::barbell(4, 1);
-        let shared = SharedProbeOracle::new(&g, &[4]);
-        let mut calc = ViewCalculator::new(SpdView::direct(&g));
-        assert!(shared.warm(0, &mut calc));
-        assert!(!shared.warm(0, &mut calc), "second warm is a no-op");
-        assert_eq!(shared.stats(), OracleStats::default());
-        // The chain's subsequent read is a hit.
-        let _ = shared.dep(0, 0, &mut calc);
-        assert_eq!(shared.stats(), OracleStats { hits: 1, misses: 0 });
-    }
-
-    #[test]
-    fn shared_oracle_concurrent_consistency() {
-        let g = generators::barbell(6, 2);
-        let shared = SharedProbeOracle::new(&g, &[6]);
-        let n = g.num_vertices() as Vertex;
-        crossbeam::thread::scope(|scope| {
-            for t in 0..4 {
-                let shared = &shared;
-                let g = &g;
-                scope.spawn(move |_| {
-                    let mut calc = ViewCalculator::new(SpdView::direct(g));
-                    let mut reference = DependencyCalculator::new(g);
-                    for i in 0..n {
-                        let v = (i + t * 3) % n;
-                        let got = shared.dep(v, 0, &mut calc);
-                        assert_eq!(got, reference.dependency_on(g, v, 6));
-                    }
-                });
-            }
-        })
-        .expect("threads joined");
-        assert_eq!(shared.cached_sources(), g.num_vertices());
+        let o = ProbeOracle::for_view(SpdView::preprocessed(&g, &red), &[0]);
+        let inserted = (0..g.num_vertices() as Vertex).filter(|&v| o.warm(v, 0)).count();
+        assert_eq!(inserted, 2, "centre + coalesced leaf class");
+        assert_eq!(o.cached_sources(), 2);
+        assert_eq!(o.spd_passes(), 2);
     }
 
     #[test]
     fn lookups_and_passes_are_charged_to_the_asking_column() {
         let g = generators::barbell(4, 2);
         let probes = [4u32, 5];
-        let mut o = ProbeOracle::new(&g, &probes);
+        let o = ProbeOracle::new(&g, &probes);
         let _ = o.dep(0, 0); // column 0 computes source 0's row
         let _ = o.dep(0, 1); // column 1 reuses it
         let _ = o.dep(1, 1);
@@ -611,16 +470,16 @@ mod tests {
         assert_eq!(o.stats(), OracleStats { hits: 2, misses: 2 });
         assert_eq!(o.spd_passes(), 2);
         // A column's snapshot is what a one-probe oracle would cache.
-        let mut single = ProbeOracle::new(&g, &[5]);
+        let single = ProbeOracle::new(&g, &[5]);
         let _ = single.dep(0, 0);
         let _ = single.dep(1, 0);
-        assert_eq!(o.column_rows(1), single.snapshot_rows());
+        assert_eq!(o.snapshot(Some(1)).2, single.snapshot(None).2);
     }
 
     #[test]
     fn hit_rate_reporting() {
         let g = generators::path(5);
-        let mut o = ProbeOracle::new(&g, &[2]);
+        let o = ProbeOracle::new(&g, &[2]);
         assert_eq!(o.stats().hit_rate(), 0.0);
         let _ = o.dep(0, 0);
         let _ = o.dep(0, 0);

@@ -3,31 +3,27 @@
 //! Every MH iteration costs one SPD pass for the *proposed* source (§4.1),
 //! and the paper's proposal is an independence chain (`q(·|x) = 1/n`,
 //! §4.2): the proposal at step `t` does not depend on the chain's state, so
-//! the entire proposal sequence is a pure function of the seed. This module
-//! exploits that: worker threads replay the chain's proposal stream (a
-//! [`StreamSplit`] replica), evaluate the upcoming proposals' densities
-//! into a [`SharedProbeOracle`] ahead of time, and the chain thread
-//! consumes accept/reject decisions in order, almost always hitting the
-//! warmed cache.
+//! the entire proposal sequence is a pure function of the seed. Prefetching
+//! is therefore cache warming beside an unchanged chain: [`drive`] runs the
+//! ordinary single- or joint-space engine, fresh or resumed, and with
+//! `threads >= 2` adds worker threads that replay the chain's proposal
+//! stream and [`ProbeOracle::warm`] the upcoming proposals' rows in the
+//! engine's own oracle. The chain almost always hits the warmed cache.
 //!
 //! ## Determinism guarantee
 //!
-//! The pipelined run is **bit-identical** to the sequential sampler, by
+//! The prefetched run is **bit-identical** to the sequential one, by
 //! construction rather than by tolerance:
 //!
-//! - the accept/reject RNG stream never leaves the chain thread (see
-//!   [`mhbc_mcmc::MetropolisHastings`]'s split streams);
+//! - the chain, its accumulators and its checkpoints are the sequential
+//!   engine's own, untouched; the accept/reject RNG stream never leaves the
+//!   chain thread (see [`mhbc_mcmc::MetropolisHastings`]'s split streams);
 //! - workers only *warm* the cache — dependency rows are a deterministic
-//!   function of the evaluation view and the source's row key (graph and
-//!   source directly; with a reduction active, the reduced CSR and the
-//!   source's equivalence class), so a warmed value equals the value the
-//!   chain would have computed itself;
-//! - the chain thread runs the exact same accumulation code
-//!   (`SingleAccumulator` / `JointAccumulator`) in the exact same order as
-//!   the sequential sampler; and
-//! - the reported `spd_passes` is the number of *distinct* sources
-//!   evaluated (`SharedProbeOracle::cached_sources`), which equals the
-//!   sequential miss count because the proposal set is identical.
+//!   function of the evaluation view and the source's row key, so a warmed
+//!   value equals the value the chain would have computed itself; and
+//! - an SPD pass is charged to whichever lookup or warm *inserted* its row,
+//!   so the reported `spd_passes` is the number of distinct rows — the
+//!   sequential miss count, because the proposal set is identical.
 //!
 //! Hence `bc`, `bc_corrected`, acceptance counts, and `spd_passes` agree
 //! exactly across `threads = 1, 2, 8, …` — the property the
@@ -38,30 +34,26 @@
 //!
 //! Workers run at most [`PrefetchConfig::depth`] proposals ahead of the
 //! chain (a courtesy bound on cache growth ahead of consumption), yielding
-//! when the window is full. If the chain outpaces its workers it computes
-//! the density itself — nobody ever blocks on a slow worker. Proposals that
-//! are *state-dependent* (the F8 degree-walk ablation) cannot be replayed
-//! ahead of time; [`mhbc_mcmc::Proposal::propose_iid`] returns `None` for
-//! them and the entry points here fall back to the sequential samplers, as
-//! they also do for `threads <= 1`.
+//! when the window is full, and never past the iteration bound the engine
+//! has committed to (see [`Pacing`]). If the chain outpaces its workers it
+//! computes the density itself — nobody ever blocks on a slow worker.
+//! Proposals that are *state-dependent* (the F8 degree-walk ablation)
+//! cannot be replayed ahead of time; [`mhbc_mcmc::Proposal::propose_iid`]
+//! returns `None` for them and the workers stop at once. `threads <= 1`
+//! runs the engine alone.
 
-use crate::checkpoint::CheckpointKind;
-use crate::engine::{
-    open_checkpoint, AdaptiveReport, CheckpointDriver, EngineConfig, EngineDriver, EstimationEngine,
-};
-use crate::joint::{self, JointAccumulator, JointProposal, JointState};
-use crate::oracle::SharedProbeOracle;
-use crate::single::{self, SingleAccumulator, SingleSpaceConfig, SingleSpaceEstimate};
+use crate::engine::{AdaptiveReport, CheckpointDriver, EngineConfig, EstimationEngine};
+use crate::oracle::ProbeOracle;
+use crate::single::{SingleSpaceConfig, SingleSpaceEstimate};
 use crate::{
     CoreError, JointSpaceConfig, JointSpaceEstimate, JointSpaceSampler, SingleSpaceSampler,
 };
 use mhbc_graph::{CsrGraph, Vertex};
-use mhbc_mcmc::{
-    fn_target, FnTarget, MetropolisHastings, Proposal, RngSnapshot, StreamSplit, UniformProposal,
-};
-use mhbc_spd::{SpdView, SpdWorkspacePool};
-use rand::{rngs::SmallRng, RngExt, SeedableRng};
+use mhbc_mcmc::{Proposal, StoppingRule};
+use mhbc_spd::SpdView;
+use rand::rngs::SmallRng;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Threading knobs for the speculative pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -109,182 +101,26 @@ impl Default for PrefetchConfig {
     }
 }
 
-/// Validates a single-space configuration, returning `n` (the *original*
-/// vertex count — the sampler state space, whatever the view's reduction).
-pub(crate) fn validate_single(
-    view: &SpdView<'_>,
-    r: Vertex,
-    config: &SingleSpaceConfig,
-) -> Result<usize, CoreError> {
-    let n = view.num_vertices();
-    if n < 3 {
-        return Err(CoreError::GraphTooSmall { num_vertices: n });
-    }
-    if r as usize >= n {
-        return Err(CoreError::ProbeOutOfRange { probe: r, num_vertices: n });
-    }
-    if !view.is_retained(r) {
-        return Err(CoreError::PrunedProbe { probe: r });
-    }
-    if let Some(v0) = config.initial {
-        if v0 as usize >= n {
-            return Err(CoreError::ProbeOutOfRange { probe: v0, num_vertices: n });
-        }
-    }
-    Ok(n)
-}
-
-/// Derives a single-space chain's `(initial state, proposal stream,
-/// acceptance stream)` from its seed — the one canonical derivation used by
-/// the sequential sampler, the pipelined chain thread, *and* the workers'
-/// stream replicas, so all three agree draw for draw.
-pub(crate) fn derive_streams(
-    seed: u64,
-    initial: Option<Vertex>,
-    n: usize,
-) -> (Vertex, SmallRng, SmallRng) {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let initial = initial.unwrap_or_else(|| rng.random_range(0..n as Vertex));
-    let accept_rng = rng.split_stream();
-    (initial, rng, accept_rng)
-}
-
-/// Joint-space analogue of [`derive_streams`].
-pub(crate) fn derive_joint_streams(
-    seed: u64,
-    initial: Option<(usize, Vertex)>,
-    k: usize,
-    n: usize,
-) -> (JointState, SmallRng, SmallRng) {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let initial: JointState = match initial {
-        Some((i, v)) => (i as u32, v),
-        None => (rng.random_range(0..k as u32), rng.random_range(0..n as Vertex)),
-    };
-    let accept_rng = rng.split_stream();
-    (initial, rng, accept_rng)
-}
-
-/// [`EngineDriver`] for the chain thread of the speculative single-space
-/// pipeline: the same accumulation code as the sequential sampler, reading
-/// densities through the shared pre-warmed cache, with segment boundaries
-/// publishing the committed iteration bound to the workers.
-struct PipelineSingleDriver<'a, 'g, F: FnMut(&Vertex) -> f64> {
-    chain: MetropolisHastings<FnTarget<Vertex, F>, UniformProposal, SmallRng>,
-    acc: SingleAccumulator,
-    burn_in: u64,
-    n: usize,
-    pacing: &'a Pacing,
-    proposal_sum: f64,
-    max_proposed: f64,
-    // Checkpoint context (header + payload identity).
-    oracle: &'a SharedProbeOracle<'g>,
-    config: &'a SingleSpaceConfig,
-    r: Vertex,
-}
-
-impl<F: FnMut(&Vertex) -> f64> EngineDriver for PipelineSingleDriver<'_, '_, F> {
-    type Output = (SingleAccumulator, f64);
-
-    fn prime(&mut self, out: &mut Vec<f64>) {
-        if self.acc.iteration() == 0 && self.acc.counted() == 1 {
-            out.push(self.chain.current_density());
-        }
-    }
-
-    fn run_segment(&mut self, iters: u64, out: &mut Vec<f64>) {
-        let start = self.acc.iteration();
-        // Monotone raise (fixed-budget runs pre-commit everything; never
-        // lower the bound back to a segment edge).
-        self.pacing.committed.fetch_max(start + iters, Ordering::AcqRel);
-        for t in start + 1..=start + iters {
-            self.pacing.progress.store(t, Ordering::Release);
-            let o = self.chain.step();
-            self.acc.absorb(&o);
-            self.proposal_sum += o.proposed_density;
-            if o.proposed_density > self.max_proposed {
-                self.max_proposed = o.proposed_density;
-            }
-            if self.acc.iteration() > self.burn_in {
-                out.push(o.density);
-            }
-        }
-    }
-
-    fn iterations(&self) -> u64 {
-        self.acc.iteration()
-    }
-
-    fn rejected_by_chance(&self) -> bool {
-        self.acc.rejected_by_chance(self.chain.stats())
-    }
-
-    fn scale(&self) -> f64 {
-        self.n as f64 - 1.0
-    }
-
-    fn observed_mu(&self) -> Option<f64> {
-        let t = self.acc.iteration();
-        if t == 0 || self.proposal_sum <= 0.0 {
-            return None;
-        }
-        Some(self.max_proposed / (self.proposal_sum / t as f64))
-    }
-
-    fn finish(self) -> (SingleAccumulator, f64) {
-        (self.acc, self.chain.stats().acceptance_rate())
-    }
-}
-
-impl<F: FnMut(&Vertex) -> f64> CheckpointDriver for PipelineSingleDriver<'_, '_, F> {
-    fn kind(&self) -> CheckpointKind {
-        CheckpointKind::Single
-    }
-
-    fn view(&self) -> SpdView<'_> {
-        self.oracle.view()
-    }
-
-    fn save(&self, w: &mut crate::checkpoint::Writer) {
-        // Same payload as the sequential driver; at a segment boundary the
-        // shared cache deterministically holds the rows of every consumed
-        // proposal (see [`Pacing`]), so `cached_sources` plays the role of
-        // the sequential `spd_passes`.
-        single::save_single_payload(
-            w,
-            self.r,
-            self.config,
-            &self.chain.snapshot(),
-            &self.acc,
-            self.proposal_sum,
-            self.max_proposed,
-            self.oracle.cached_sources() as u64,
-            self.oracle.stats(),
-            self.oracle.snapshot_rows(),
-        );
-    }
-}
-
-/// Shared pacing state between the chain thread and its prefetch workers.
+/// Progress bounds a chain publishes to its prefetch workers.
 ///
 /// `progress` is how far the chain has consumed; `committed` is how far the
 /// engine has *guaranteed* execution (raised segment by segment); `done`
 /// flips when no further iterations will ever be committed. Workers warm
 /// only proposals with `t ≤ committed` — under adaptive stopping the total
 /// iteration count is unknown upfront, and a worker that warmed past an
-/// early stop would inflate the cache (and with it the deterministic
-/// `spd_passes` figure) relative to the sequential run. At every segment
-/// boundary the cache therefore holds *exactly* the rows of the proposals
-/// consumed so far, whatever the thread count.
-pub(crate) struct Pacing {
-    pub(crate) progress: AtomicU64,
-    pub(crate) committed: AtomicU64,
-    pub(crate) done: AtomicBool,
+/// early stop would insert rows (and charge SPD passes) the sequential run
+/// never computes. At every segment boundary of an adaptive run the cache
+/// therefore holds *exactly* the rows of the proposals consumed so far,
+/// whatever the thread count.
+pub struct Pacing {
+    progress: AtomicU64,
+    committed: AtomicU64,
+    done: AtomicBool,
 }
 
 impl Pacing {
     /// Pacing with `committed` pre-set (fixed-budget runs commit the whole
-    /// budget upfront, reproducing the pre-adaptive protocol exactly).
+    /// budget upfront).
     pub(crate) fn committed_to(limit: u64) -> Self {
         Pacing {
             progress: AtomicU64::new(0),
@@ -292,18 +128,28 @@ impl Pacing {
             done: AtomicBool::new(false),
         }
     }
+
+    /// Guarantees execution up to iteration `limit` (a monotone raise:
+    /// fixed-budget runs pre-commit everything, and the bound never falls
+    /// back to a segment edge).
+    pub(crate) fn commit(&self, limit: u64) {
+        self.committed.fetch_max(limit, Ordering::AcqRel);
+    }
+
+    /// Records that the chain is about to run iteration `t`.
+    pub(crate) fn reach(&self, t: u64) {
+        self.progress.store(t, Ordering::Release);
+    }
 }
 
-/// Releases prefetch workers on drop (normal completion *or* panic): no
-/// further iterations will be committed, so workers waiting past
-/// `committed` exit instead of spinning forever.
+/// Stops prefetch workers on drop (normal completion, an aborted run *or*
+/// a panic): the chain reads no further rows, so workers exit instead of
+/// warming the rest of the budget or spinning forever.
 pub(crate) struct PacingGuard<'a>(pub(crate) &'a Pacing);
 
 impl Drop for PacingGuard<'_> {
     fn drop(&mut self) {
         self.0.done.store(true, Ordering::Release);
-        // Also release the depth window (mirrors the old Progress drop).
-        self.0.progress.store(u64::MAX, Ordering::Release);
     }
 }
 
@@ -321,8 +167,8 @@ pub(crate) struct Lane<'a> {
 /// `{t : (t - 1) ≡ lane (mod lanes)}` of the upcoming proposals, never
 /// speculating more than `depth` past the chain's progress nor past the
 /// committed iteration bound (see [`Pacing`]). The one copy of the
-/// speculation-window protocol — `run_single`, `run_joint`, and the
-/// ensemble's per-chain squads all spawn exactly this.
+/// speculation-window protocol — [`drive`] and the ensemble's per-chain
+/// squads both spawn exactly this.
 pub(crate) fn prefetch_lane<P, S>(
     mut proposal: P,
     mut rng: SmallRng,
@@ -339,12 +185,11 @@ pub(crate) fn prefetch_lane<P, S>(
         };
         if (t - 1) % window.lanes == window.lane {
             loop {
-                let committed = window.committed();
-                if t <= committed && t <= window.window_edge() {
-                    break;
+                if window.pacing.done.load(Ordering::Acquire) {
+                    return; // the chain has stopped reading rows
                 }
-                if t > committed && window.pacing.done.load(Ordering::Acquire) {
-                    return; // the run stopped before iteration t
+                if t <= window.committed() && t <= window.window_edge() {
+                    break;
                 }
                 std::thread::yield_now();
             }
@@ -363,13 +208,92 @@ impl Lane<'_> {
     }
 }
 
+/// What prefetch workers need to replay a chain: the oracle it reads, its
+/// independence proposal, and a copy of its proposal stream at the chain's
+/// current position.
+pub struct Replay<'g, P> {
+    pub(crate) oracle: Arc<ProbeOracle<'g>>,
+    pub(crate) proposal: P,
+    pub(crate) rng: SmallRng,
+    /// The oracle column the chain reads (single-space chains).
+    pub(crate) column: usize,
+}
+
+/// An engine driver whose upcoming proposals prefetch workers can replay:
+/// the single- and joint-space drivers.
+pub trait Prefetch<'g>: CheckpointDriver {
+    /// A chain state.
+    type State;
+    /// The chain's independence proposal.
+    type Proposal: Proposal<Self::State> + Clone + Send;
+
+    /// The chain's oracle, proposal and proposal stream, as of now.
+    fn replay(&self) -> Replay<'g, Self::Proposal>;
+
+    /// Warms the row the chain reads for `state`, charging the column the
+    /// chain's own lookup of it would charge (`column` is
+    /// [`Replay`]'s).
+    fn warm(oracle: &ProbeOracle<'g>, state: Self::State, column: usize);
+
+    /// Publishes the driver's progress to `pacing` from now on.
+    fn attach(&mut self, pacing: Arc<Pacing>);
+}
+
 /// A consumer of checkpoint file images, called at every segment boundary
 /// (the CLI writes them to disk).
 pub type CheckpointSink<'x> = dyn FnMut(Vec<u8>) -> Result<(), CoreError> + 'x;
 
+/// Runs a single- or joint-space engine — fresh, or resumed with
+/// [`crate::resume_single`] / [`crate::resume_joint`] — to completion with
+/// `prefetch.threads` evaluation threads, feeding every segment boundary's
+/// checkpoint to `sink` when one is given. Bit-identical to
+/// [`EstimationEngine::run`] at every thread count (module docs).
+pub fn drive<'g, D: Prefetch<'g>>(
+    mut engine: EstimationEngine<D>,
+    prefetch: &PrefetchConfig,
+    sink: Option<&mut CheckpointSink<'_>>,
+) -> Result<(D::Output, AdaptiveReport), CoreError> {
+    if !prefetch.is_parallel() {
+        return run(engine, sink);
+    }
+    let workers = (prefetch.threads - 1) as u64;
+    let depth = prefetch.depth.max(workers);
+    let start = engine.iterations() + 1;
+    let budget = engine.budget();
+    // Fixed-budget runs commit everything upfront; adaptive runs commit
+    // segment by segment.
+    let committed = match engine.config().stopping {
+        StoppingRule::FixedIterations => budget,
+        _ => start - 1,
+    };
+    let pacing = Arc::new(Pacing::committed_to(committed));
+    let replay = engine.driver().replay();
+    engine.driver_mut().attach(Arc::clone(&pacing));
+
+    crossbeam::thread::scope(|scope| {
+        for lane in 0..workers {
+            let (proposal, rng) = (replay.proposal.clone(), replay.rng.clone());
+            let (oracle, pacing, column) = (&*replay.oracle, &*pacing, replay.column);
+            scope.spawn(move |_| {
+                prefetch_lane(
+                    proposal,
+                    rng,
+                    start,
+                    budget,
+                    Lane { lane, lanes: workers, depth, pacing },
+                    |s| D::warm(oracle, s, column),
+                );
+            });
+        }
+        let _release = PacingGuard(&pacing);
+        run(engine, sink)
+    })
+    .expect("pipeline threads joined")
+}
+
 /// Runs a checkpointable engine to completion, feeding every segment
 /// boundary's checkpoint to `sink` when one is given.
-fn drive<D: CheckpointDriver>(
+fn run<D: CheckpointDriver>(
     engine: EstimationEngine<D>,
     sink: Option<&mut CheckpointSink<'_>>,
 ) -> Result<(D::Output, AdaptiveReport), CoreError> {
@@ -381,8 +305,7 @@ fn drive<D: CheckpointDriver>(
 
 /// Runs the single-space sampler (§4.2) with `prefetch.threads` evaluation
 /// threads. Bit-identical to `SingleSpaceSampler::run` for every thread
-/// count — see the module docs for why — and falls back to the sequential
-/// sampler when `threads <= 1`.
+/// count — see the module docs for why.
 pub fn run_single(
     g: &CsrGraph,
     r: Vertex,
@@ -395,8 +318,7 @@ pub fn run_single(
 /// [`run_single`] evaluating densities through `view` — the preprocessing
 /// entry point. The chain, its proposal stream, and the estimator all live
 /// in **original** vertex ids; see [`SingleSpaceSampler::for_view`] for why
-/// the stationary distribution needs no correction. Output is bit-identical
-/// across thread counts for a fixed view.
+/// the stationary distribution needs no correction.
 pub fn run_single_view(
     view: SpdView<'_>,
     r: Vertex,
@@ -407,19 +329,12 @@ pub fn run_single_view(
         .map(|(est, _)| est)
 }
 
-/// The adaptive entry point of the single-space pipeline: executes through
-/// a segmented [`EstimationEngine`] (so a [`mhbc_mcmc::StoppingRule`] can
-/// end the run early), optionally writing a checkpoint at every segment
-/// boundary, with `prefetch.threads` evaluation threads.
-///
-/// Bit-identity holds in both directions: a `FixedIterations` run equals
-/// the pre-engine pipeline exactly, and an adaptive run's estimates,
-/// stopping point, and `spd_passes` agree across all thread counts —
-/// stopping decisions are pure functions of the observation series, and
-/// workers never warm past the committed iteration bound (the pacing
-/// protocol),
-/// so the cache holds exactly the consumed proposals' rows at every
-/// boundary.
+/// [`run_single_view`] under `engine_cfg` (so a [`StoppingRule`] can end
+/// the run early), optionally writing a checkpoint at every segment
+/// boundary: [`drive`] over [`SingleSpaceSampler::into_engine`]. An
+/// adaptive run's estimates, stopping point, and `spd_passes` agree across
+/// all thread counts — stopping decisions are pure functions of the
+/// observation series, and workers never warm past the committed bound.
 pub fn run_single_view_adaptive(
     view: SpdView<'_>,
     r: Vertex,
@@ -428,177 +343,27 @@ pub fn run_single_view_adaptive(
     prefetch: &PrefetchConfig,
     sink: Option<&mut CheckpointSink<'_>>,
 ) -> Result<(SingleSpaceEstimate, AdaptiveReport), CoreError> {
-    let n = validate_single(&view, r, config)?;
-    if !prefetch.is_parallel() {
-        let engine = SingleSpaceSampler::for_view(view, r, config.clone())?.into_engine(engine_cfg);
-        return drive(engine, sink);
-    }
-    let (initial, prop_rng, acc_rng) = derive_streams(config.seed, config.initial, n);
-    let oracle = SharedProbeOracle::for_view(view, &[r]);
-    parallel_single(
-        view, r, config, engine_cfg, prefetch, sink, &oracle, None, initial, prop_rng, acc_rng, n,
-    )
+    let engine = SingleSpaceSampler::for_view(view, r, config.clone())?.into_engine(engine_cfg);
+    drive(engine, prefetch, sink)
 }
 
 /// Resumes a checkpointed single-space run against `view` (same graph,
 /// same preprocess level — validated; any kernel mode) with
-/// `prefetch.threads` evaluation threads. The resumed run is bit-identical
-/// to an uninterrupted one whatever the thread counts on either side of
-/// the checkpoint.
+/// `prefetch.threads` evaluation threads: [`drive`] over
+/// [`crate::resume_single`]. The resumed run is bit-identical to an
+/// uninterrupted one whatever the thread counts on either side of the
+/// checkpoint.
 pub fn resume_single_view(
     view: SpdView<'_>,
     bytes: &[u8],
     prefetch: &PrefetchConfig,
     sink: Option<&mut CheckpointSink<'_>>,
 ) -> Result<(SingleSpaceEstimate, AdaptiveReport), CoreError> {
-    if !prefetch.is_parallel() {
-        let engine = crate::engine::resume_single(view, bytes)?;
-        return drive(engine, sink);
-    }
-    let (state, mut rdr) = open_checkpoint(&view, bytes, CheckpointKind::Single)?;
-    let mut parts = single::decode_single_parts(&view, &mut rdr)?;
-    let oracle = SharedProbeOracle::for_view(view, &[parts.r]);
-    // Hand the decoded rows over without duplicating them (a checkpointed
-    // cache can hold thousands of length-k rows).
-    oracle.restore_cache(std::mem::take(&mut parts.rows), parts.stats);
-    let prop_rng = SmallRng::restore_state(parts.snap.proposal_rng);
-    let acc_rng = SmallRng::restore_state(parts.snap.accept_rng);
-    parallel_single(
-        view,
-        parts.r,
-        &parts.config.clone(),
-        state.config,
-        prefetch,
-        sink,
-        &oracle,
-        Some((parts, state.monitor, state.segments, state.budget)),
-        0,
-        prop_rng,
-        acc_rng,
-        view.num_vertices(),
-    )
-}
-
-/// The shared parallel body of [`run_single_view_adaptive`] and
-/// [`resume_single_view`]: spawns the prefetch squad, then runs the chain
-/// thread through the segmented engine.
-#[allow(clippy::too_many_arguments)]
-fn parallel_single(
-    view: SpdView<'_>,
-    r: Vertex,
-    config: &SingleSpaceConfig,
-    engine_cfg: EngineConfig,
-    prefetch: &PrefetchConfig,
-    sink: Option<&mut CheckpointSink<'_>>,
-    oracle: &SharedProbeOracle<'_>,
-    resume: Option<(single::SingleResumeParts, mhbc_mcmc::DiagnosticsMonitor, u64, u64)>,
-    initial: Vertex,
-    prop_rng: SmallRng,
-    acc_rng: SmallRng,
-    n: usize,
-) -> Result<(SingleSpaceEstimate, AdaptiveReport), CoreError> {
-    let workers = (prefetch.threads - 1) as u64;
-    let depth = prefetch.depth.max(workers);
-    let budget = match &resume {
-        None => config.iterations,
-        Some((_, _, _, budget)) => *budget,
-    };
-    let start = resume.as_ref().map_or(1, |(parts, _, _, _)| parts.acc.iteration() + 1);
-    // Fixed-budget runs commit everything upfront (the historical
-    // behaviour); adaptive runs commit segment by segment.
-    let committed0 = match engine_cfg.stopping {
-        mhbc_mcmc::StoppingRule::FixedIterations => budget,
-        _ => start.saturating_sub(1),
-    };
-    let pacing = Pacing::committed_to(committed0);
-    let pool = SpdWorkspacePool::for_view_workers(view, prefetch.threads);
-    // Workers replay the proposal stream from the chain's current position.
-    let worker_rng = prop_rng.clone();
-
-    let out = crossbeam::thread::scope(|scope| {
-        for lane in 0..workers {
-            let wrng = worker_rng.clone();
-            let (pool, pacing) = (&pool, &pacing);
-            scope.spawn(move |_| {
-                let mut calc = pool.checkout();
-                prefetch_lane(
-                    UniformProposal::new(n),
-                    wrng,
-                    start,
-                    budget,
-                    Lane { lane, lanes: workers, depth, pacing },
-                    |v: Vertex| {
-                        oracle.warm(v, &mut calc);
-                    },
-                );
-            });
-        }
-
-        // The chain thread: identical code path to the sequential sampler,
-        // reading densities through the shared (pre-warmed) cache.
-        let mut calc = pool.checkout();
-        let target = fn_target(|v: &Vertex| oracle.dep(*v, 0, &mut calc));
-        let guard = PacingGuard(&pacing);
-        let (engine, run_config);
-        match resume {
-            None => {
-                let chain = MetropolisHastings::with_streams(
-                    target,
-                    UniformProposal::new(n),
-                    initial,
-                    prop_rng,
-                    acc_rng,
-                );
-                let mut acc = SingleAccumulator::new(config, n);
-                acc.absorb_initial(chain.current_density());
-                run_config = config.clone();
-                let driver = PipelineSingleDriver {
-                    chain,
-                    acc,
-                    burn_in: run_config.burn_in,
-                    n,
-                    pacing: &pacing,
-                    proposal_sum: 0.0,
-                    max_proposed: 0.0,
-                    oracle,
-                    config: &run_config,
-                    r,
-                };
-                engine = EstimationEngine::new(driver, budget, engine_cfg);
-            }
-            Some((parts, monitor, segments, _)) => {
-                let chain =
-                    MetropolisHastings::restore(target, UniformProposal::new(n), parts.snap);
-                run_config = parts.config;
-                let driver = PipelineSingleDriver {
-                    chain,
-                    acc: parts.acc,
-                    burn_in: run_config.burn_in,
-                    n,
-                    pacing: &pacing,
-                    proposal_sum: parts.proposal_sum,
-                    max_proposed: parts.max_proposed,
-                    oracle,
-                    config: &run_config,
-                    r,
-                };
-                engine =
-                    EstimationEngine::with_state(driver, budget, engine_cfg, monitor, segments);
-            }
-        }
-        let out = drive(engine, sink);
-        drop(guard);
-        out
-    })
-    .expect("pipeline threads joined");
-
-    let ((acc, acceptance_rate), report) = out?;
-    Ok((acc.finish(r, acceptance_rate, oracle.cached_sources() as u64, oracle.stats()), report))
+    drive(crate::engine::resume_single(view, bytes)?, prefetch, sink)
 }
 
 /// Runs the joint-space sampler (§4.3) with `prefetch.threads` evaluation
-/// threads; bit-identical to `JointSpaceSampler::run`, with sequential
-/// fallback for `threads <= 1`.
+/// threads; bit-identical to `JointSpaceSampler::run`.
 pub fn run_joint(
     g: &CsrGraph,
     probes: &[Vertex],
@@ -609,86 +374,18 @@ pub fn run_joint(
 }
 
 /// [`run_joint`] evaluating densities through `view`; every probe must
-/// survive the reduction ([`CoreError::PrunedProbe`] otherwise).
-///
-/// The threaded joint pipeline runs the full fixed budget (adaptive
-/// stopping for probe sets goes through the per-probe
-/// [`crate::schedule::ProbeScheduler`][sched] instead, and the sequential
-/// joint engine — [`JointSpaceSampler::into_engine`] — supports adaptive
-/// rules and checkpointing directly).
-///
-/// [sched]: crate::schedule::run_probe_schedule
+/// survive the reduction ([`CoreError::PrunedProbe`] otherwise). Runs the
+/// full fixed budget; for adaptive stopping or checkpoints, [`drive`] a
+/// [`JointSpaceSampler::into_engine`] engine instead.
 pub fn run_joint_view(
     view: SpdView<'_>,
     probes: &[Vertex],
     config: &JointSpaceConfig,
     prefetch: &PrefetchConfig,
 ) -> Result<JointSpaceEstimate, CoreError> {
-    let (n, k) = joint::validate_joint(&view, probes, config)?;
-    if !prefetch.is_parallel() {
-        return Ok(JointSpaceSampler::for_view(view, probes, config.clone())?.run());
-    }
-    let workers = (prefetch.threads - 1) as u64;
-    let depth = prefetch.depth.max(workers);
-    let (initial, prop_rng, acc_rng) = derive_joint_streams(config.seed, config.initial, k, n);
-    let oracle = SharedProbeOracle::for_view(view, probes);
-    let pool = SpdWorkspacePool::for_view_workers(view, prefetch.threads + 1);
-    let iterations = config.iterations;
-    let pacing = Pacing::committed_to(iterations);
-
-    let (acc, acceptance_rate) = crossbeam::thread::scope(|scope| {
-        for lane in 0..workers {
-            let wrng = prop_rng.clone();
-            let (oracle, pool, pacing) = (&oracle, &pool, &pacing);
-            scope.spawn(move |_| {
-                let mut calc = pool.checkout();
-                prefetch_lane(
-                    JointProposal { k: k as u32, n: n as u32 },
-                    wrng,
-                    1,
-                    iterations,
-                    Lane { lane, lanes: workers, depth, pacing },
-                    |(_, v): JointState| {
-                        oracle.warm(v, &mut calc);
-                    },
-                );
-            });
-        }
-
-        let mut calc = pool.checkout();
-        let mut absorb_calc = pool.checkout();
-        let oracle_ref = &oracle;
-        let target = fn_target(|s: &JointState| oracle_ref.dep(s.1, s.0 as usize, &mut calc));
-        let mut chain = MetropolisHastings::with_streams(
-            target,
-            JointProposal { k: k as u32, n: n as u32 },
-            initial,
-            prop_rng,
-            acc_rng,
-        );
-        let mut acc = JointAccumulator::new(k, config.trace_pair);
-        let mut absorb = |chain_state: JointState, acc: &mut JointAccumulator| {
-            let (j, v) = chain_state;
-            oracle_ref.with_deps(v, &mut absorb_calc, |row| acc.absorb(j as usize, row));
-        };
-        absorb(*chain.state(), &mut acc);
-        let guard = PacingGuard(&pacing);
-        for t in 1..=iterations {
-            guard.0.progress.store(t, Ordering::Release);
-            chain.step();
-            absorb(*chain.state(), &mut acc);
-        }
-        (acc, chain.stats().acceptance_rate())
-    })
-    .expect("pipeline threads joined");
-
-    Ok(acc.finish(
-        probes.to_vec(),
-        iterations,
-        acceptance_rate,
-        oracle.cached_sources() as u64,
-        oracle.stats(),
-    ))
+    let engine = JointSpaceSampler::for_view(view, probes, config.clone())?
+        .into_engine(EngineConfig::fixed());
+    drive(engine, prefetch, None).map(|(est, _)| est)
 }
 
 #[cfg(test)]
@@ -855,6 +552,30 @@ mod tests {
             assert_eq!(fingerprint(&seq), fingerprint(&resumed), "threads {threads}");
             assert_eq!(seq.trace, resumed.trace, "threads {threads}");
         }
+    }
+
+    #[test]
+    fn workers_stop_when_the_run_is_aborted() {
+        // A fixed-budget run commits its whole budget, so only the stop
+        // signal keeps workers from warming the remaining proposals after
+        // a checkpoint sink aborts the run at its first boundary.
+        use mhbc_mcmc::StoppingRule;
+        let mut rng = <SmallRng as rand::SeedableRng>::seed_from_u64(3);
+        let g = mhbc_graph::generators::barabasi_albert(400, 3, &mut rng);
+        let oracle = Arc::new(ProbeOracle::new(&g, &[0]));
+        let sampler = SingleSpaceSampler::with_oracle(
+            Arc::clone(&oracle),
+            0,
+            SingleSpaceConfig::new(1 << 20, 7),
+        );
+        let engine = sampler.into_engine(EngineConfig::fixed().with_segment(50));
+        assert_eq!(engine.config().stopping, StoppingRule::FixedIterations);
+        let mut abort = |_: Vec<u8>| Err(CoreError::Checkpoint { reason: "disk full".into() });
+        let prefetch = PrefetchConfig::with_threads(2).with_depth(1);
+        assert!(drive(engine, &prefetch, Some(&mut abort)).is_err());
+        // The chain read 51 rows; workers run at most one proposal ahead.
+        let cached = oracle.cached_sources();
+        assert!(cached <= 53, "{cached} rows cached after the abort");
     }
 
     #[test]

@@ -26,14 +26,15 @@
 
 use crate::engine::{AdaptiveReport, EngineConfig, EstimationEngine, StopReason};
 use crate::oracle::{OracleStats, ProbeOracle};
-use crate::single::{SingleDriver, SingleSpaceConfig, SingleSpaceEstimate, SingleSpaceSampler};
+use crate::single::{
+    validate_single, SingleDriver, SingleSpaceConfig, SingleSpaceEstimate, SingleSpaceSampler,
+};
 use crate::CoreError;
 use mhbc_graph::Vertex;
 use mhbc_mcmc::monitor::normal_upper_quantile;
 use mhbc_mcmc::StoppingRule;
 use mhbc_spd::SpdView;
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// Configuration for [`run_probe_schedule`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -161,18 +162,18 @@ pub fn run_probe_schedule(
     let sampler_cfg =
         |i: usize| SingleSpaceConfig::new(config.budget, config.seed.wrapping_add(i as u64));
     // Validate before building the oracle, which panics on bad probes.
-    for (i, &p) in probes.iter().enumerate() {
-        crate::pipeline::validate_single(&view, p, &sampler_cfg(i))?;
+    for &p in probes {
+        validate_single(&view, p, None)?;
     }
     let z = ci_z(config.target);
     let engine_cfg = EngineConfig::adaptive(config.target).with_segment(config.segment);
 
     // One engine per probe, all reading one oracle; each may in principle
     // consume the whole budget.
-    let oracle = Rc::new(RefCell::new(ProbeOracle::for_view(view, probes)));
+    let oracle = Arc::new(ProbeOracle::for_view(view, probes));
     let mut lanes: Vec<Lane<'_>> = (0..probes.len())
         .map(|i| Lane {
-            engine: SingleSpaceSampler::with_oracle(Rc::clone(&oracle), i, sampler_cfg(i))
+            engine: SingleSpaceSampler::with_oracle(Arc::clone(&oracle), i, sampler_cfg(i))
                 .into_engine(engine_cfg),
             finished: None,
             allocated: 0,
@@ -237,7 +238,6 @@ pub fn run_probe_schedule(
         })
         .collect();
 
-    let oracle = oracle.borrow();
     Ok(ScheduleOutcome {
         probes: outcomes,
         spent,

@@ -3,20 +3,23 @@
 use crate::checkpoint::{CheckpointKind, Reader, Writer};
 use crate::engine::{CheckpointDriver, EngineConfig, EngineDriver, EstimationEngine};
 use crate::oracle::{OracleStats, ProbeOracle};
+use crate::pipeline::{Pacing, Prefetch, Replay};
 use crate::CoreError;
 use mhbc_graph::{CsrGraph, Vertex};
-use mhbc_mcmc::{ChainSnapshot, MetropolisHastings, StepOutcome, TargetDensity, UniformProposal};
+use mhbc_mcmc::{
+    ChainSnapshot, MetropolisHastings, RngSnapshot, StepOutcome, StreamSplit, TargetDensity,
+    UniformProposal,
+};
 use mhbc_spd::SpdView;
-use rand::rngs::SmallRng;
-use std::cell::RefCell;
-use std::rc::Rc;
+use rand::{rngs::SmallRng, RngExt, SeedableRng};
+use std::sync::Arc;
 
 /// Target density of the single-space chain: `f(v) = δ_{v•}(r)` — the
 /// unnormalised form of the optimal distribution `P_r[v]` (Eq 5), read from
-/// column `idx` (the probe `r`) of an oracle that other chains on this
-/// thread may share (see [`crate::schedule`]).
+/// column `idx` (the probe `r`) of an oracle that other chains may share
+/// (see [`crate::schedule`]).
 struct SingleTarget<'g> {
-    oracle: Rc<RefCell<ProbeOracle<'g>>>,
+    oracle: Arc<ProbeOracle<'g>>,
     idx: usize,
 }
 
@@ -24,8 +27,48 @@ impl TargetDensity for SingleTarget<'_> {
     type State = Vertex;
 
     fn density(&mut self, v: &Vertex) -> f64 {
-        self.oracle.borrow_mut().dep(*v, self.idx)
+        self.oracle.dep(*v, self.idx)
     }
+}
+
+/// Validates a single-space probe and initial state, returning `n` (the
+/// *original* vertex count — the sampler state space, whatever the view's
+/// reduction).
+pub(crate) fn validate_single(
+    view: &SpdView<'_>,
+    r: Vertex,
+    initial: Option<Vertex>,
+) -> Result<usize, CoreError> {
+    let n = view.num_vertices();
+    if n < 3 {
+        return Err(CoreError::GraphTooSmall { num_vertices: n });
+    }
+    if r as usize >= n {
+        return Err(CoreError::ProbeOutOfRange { probe: r, num_vertices: n });
+    }
+    if !view.is_retained(r) {
+        return Err(CoreError::PrunedProbe { probe: r });
+    }
+    if let Some(v0) = initial {
+        if v0 as usize >= n {
+            return Err(CoreError::ProbeOutOfRange { probe: v0, num_vertices: n });
+        }
+    }
+    Ok(n)
+}
+
+/// Derives a single-space chain's `(initial state, proposal stream,
+/// acceptance stream)` from its seed — the one derivation used by the
+/// sampler and by the ensemble's chains.
+pub(crate) fn derive_streams(
+    seed: u64,
+    initial: Option<Vertex>,
+    n: usize,
+) -> (Vertex, SmallRng, SmallRng) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let initial = initial.unwrap_or_else(|| rng.random_range(0..n as Vertex));
+    let accept_rng = rng.split_stream();
+    (initial, rng, accept_rng)
 }
 
 /// Configuration for [`SingleSpaceSampler`].
@@ -221,10 +264,6 @@ impl SingleAccumulator {
         self.iteration
     }
 
-    pub(crate) fn counted(&self) -> u64 {
-        self.counted
-    }
-
     /// Whether `stats`' chain rejected a proposal of positive density:
     /// fewer acceptances than supported proposals. Exact while the chain
     /// has not sat on a zero-density state (which also takes zero-density
@@ -281,15 +320,15 @@ impl SingleAccumulator {
 /// with `T ≥ µ(r)²/(2ε²) ln(2/δ)` iterations (Theorem 1 / Ineq 14); see
 /// [`crate::planner`].
 ///
-/// This type is the *sequential* streaming sampler. For a multi-threaded
-/// run with bit-identical output, see [`crate::pipeline::run_single`] —
-/// same chain, same estimates, with proposal densities evaluated
-/// speculatively by worker threads.
+/// This type is the streaming sampler. [`crate::pipeline::run_single`]
+/// runs the same engine with prefetch workers warming its oracle — same
+/// chain, same estimates, with proposal densities evaluated ahead of the
+/// chain by worker threads.
 ///
-/// The sampler reads its densities through a thread-local shared handle
-/// (so the probe scheduler's chains can share one oracle); it and its
-/// engine are therefore not `Send`. Build one per thread to run
-/// independent estimates in parallel.
+/// The sampler reads its densities through a shared handle to a
+/// thread-safe oracle (so the probe scheduler's chains can share one), and
+/// it and its engine are `Send`: independent estimates may run on
+/// separate threads.
 pub struct SingleSpaceSampler<'g> {
     chain: MetropolisHastings<SingleTarget<'g>, UniformProposal, SmallRng>,
     r: Vertex,
@@ -330,28 +369,23 @@ impl<'g> SingleSpaceSampler<'g> {
         r: Vertex,
         config: SingleSpaceConfig,
     ) -> Result<Self, CoreError> {
-        crate::pipeline::validate_single(&view, r, &config)?;
-        Ok(Self::with_oracle(Rc::new(RefCell::new(ProbeOracle::for_view(view, &[r]))), 0, config))
+        validate_single(&view, r, config.initial)?;
+        Ok(Self::with_oracle(Arc::new(ProbeOracle::for_view(view, &[r])), 0, config))
     }
 
     /// Builds a sampler for probe `oracle.probes()[idx]` whose densities
-    /// come from column `idx` of `oracle`, which other samplers on this
-    /// thread may share: one SPD pass per distinct source serves every
-    /// column, and the estimate is bit-identical to a sampler with an
-    /// oracle of its own (a row's entries are a pure function of the view,
+    /// come from column `idx` of `oracle`, which other samplers may share:
+    /// one SPD pass per distinct source serves every column, and the
+    /// estimate is bit-identical to a sampler with an oracle of its own (a row's entries are a pure function of the view,
     /// the source's row key and the probe). The caller has checked the
     /// probe and `config` with `validate_single`.
     pub(crate) fn with_oracle(
-        oracle: Rc<RefCell<ProbeOracle<'g>>>,
+        oracle: Arc<ProbeOracle<'g>>,
         idx: usize,
         config: SingleSpaceConfig,
     ) -> Self {
-        let (n, r) = {
-            let o = oracle.borrow();
-            (o.view().num_vertices(), o.probes()[idx])
-        };
-        let (initial, prop_rng, acc_rng) =
-            crate::pipeline::derive_streams(config.seed, config.initial, n);
+        let (n, r) = (oracle.view().num_vertices(), oracle.probes()[idx]);
+        let (initial, prop_rng, acc_rng) = derive_streams(config.seed, config.initial, n);
         let target = SingleTarget { oracle, idx };
         let chain = MetropolisHastings::with_streams(
             target,
@@ -420,13 +454,12 @@ impl<'g> SingleSpaceSampler<'g> {
     /// Finalises early (fewer than `config.iterations` steps).
     pub fn finish(self) -> SingleSpaceEstimate {
         let acceptance_rate = self.chain.stats().acceptance_rate();
-        let target = self.chain.into_target();
-        let oracle = target.oracle.borrow();
+        let SingleTarget { oracle, idx } = self.chain.into_target();
         self.acc.finish(
             self.r,
             acceptance_rate,
-            oracle.column_passes(target.idx),
-            oracle.column_stats(target.idx),
+            oracle.column_passes(idx),
+            oracle.column_stats(idx),
         )
     }
 }
@@ -506,12 +539,9 @@ pub(crate) fn restore_chain_snapshot(
     })
 }
 
-pub(crate) fn save_oracle(
-    w: &mut Writer,
-    passes: u64,
-    stats: OracleStats,
-    rows: Vec<(u64, Vec<f64>)>,
-) {
+/// Writes `oracle`'s checkpoint image (see [`ProbeOracle::snapshot`]).
+pub(crate) fn save_oracle(w: &mut Writer, oracle: &ProbeOracle<'_>, col: Option<usize>) {
+    let (passes, stats, rows) = oracle.snapshot(col);
     w.u64(passes);
     w.u64(stats.hits);
     w.u64(stats.misses);
@@ -522,38 +552,53 @@ pub(crate) fn save_oracle(
     }
 }
 
-/// Decoded oracle state: `(SPD passes, stats, cached rows)`.
-pub(crate) type OracleSnapshot = (u64, OracleStats, Vec<(u64, Vec<f64>)>);
-
-pub(crate) fn restore_oracle(r: &mut Reader<'_>) -> Result<OracleSnapshot, CoreError> {
+/// Decodes an oracle block written by [`save_oracle`] into `oracle`: the
+/// cached rows and the counters they resume from. Every row must hold one
+/// entry per probe of `oracle`.
+pub(crate) fn restore_oracle(
+    r: &mut Reader<'_>,
+    oracle: &mut ProbeOracle<'_>,
+) -> Result<(), CoreError> {
     let passes = r.u64()?;
     let stats = OracleStats { hits: r.u64()?, misses: r.u64()? };
     let n = r.u64()? as usize;
     if n > r.remaining() / 16 {
         return Err(crate::checkpoint::corrupt("row table longer than the checkpoint"));
     }
+    let k = oracle.probes().len();
     let mut rows = Vec::with_capacity(n);
     for _ in 0..n {
         let key = r.u64()?;
-        rows.push((key, r.f64s()?));
+        let row = r.f64s()?;
+        if row.len() != k {
+            return Err(crate::checkpoint::corrupt(format!(
+                "cached row of {} entries for {k} probes",
+                row.len()
+            )));
+        }
+        rows.push((key, row));
     }
-    Ok((passes, stats, rows))
+    oracle.restore_cache(rows, stats, passes);
+    Ok(())
 }
 
-/// [`EngineDriver`] for the sequential single-space sampler: the thin
-/// configuration layer that turns [`SingleSpaceSampler`] into an
-/// [`EstimationEngine`] workload. Also tracks the observed proposal-stream
-/// maximum and mean for the planner's `µ(r)` refit (the proposals are
-/// uniform i.i.d. draws, so `max/mean` is a plug-in for `n·max δ / Σ δ`).
+/// [`EngineDriver`] for the single-space sampler: the thin configuration
+/// layer that turns [`SingleSpaceSampler`] into an [`EstimationEngine`]
+/// workload. Also tracks the observed proposal-stream maximum and mean for
+/// the planner's `µ(r)` refit (the proposals are uniform i.i.d. draws, so
+/// `max/mean` is a plug-in for `n·max δ / Σ δ`).
 pub struct SingleDriver<'g> {
     sampler: SingleSpaceSampler<'g>,
     proposal_sum: f64,
     max_proposed: f64,
+    /// Progress bounds for prefetch workers, when [`crate::pipeline::drive`]
+    /// attached them.
+    pacing: Option<Arc<Pacing>>,
 }
 
 impl<'g> SingleDriver<'g> {
     pub(crate) fn new(sampler: SingleSpaceSampler<'g>) -> Self {
-        SingleDriver { sampler, proposal_sum: 0.0, max_proposed: 0.0 }
+        SingleDriver { sampler, proposal_sum: 0.0, max_proposed: 0.0, pacing: None }
     }
 
     /// The wrapped sampler's probe vertex.
@@ -590,13 +635,20 @@ impl EngineDriver for SingleDriver<'_> {
 
     fn run_segment(&mut self, iters: u64, out: &mut Vec<f64>) {
         let burn_in = self.sampler.config.burn_in;
-        for _ in 0..iters {
+        let start = self.sampler.acc.iteration();
+        if let Some(p) = &self.pacing {
+            p.commit(start + iters);
+        }
+        for t in start + 1..=start + iters {
+            if let Some(p) = &self.pacing {
+                p.reach(t);
+            }
             let o = self.sampler.step_raw();
             self.proposal_sum += o.proposed_density;
             if o.proposed_density > self.max_proposed {
                 self.max_proposed = o.proposed_density;
             }
-            if self.sampler.acc.iteration() > burn_in {
+            if t > burn_in {
                 out.push(o.density);
             }
         }
@@ -633,95 +685,20 @@ impl CheckpointDriver for SingleDriver<'_> {
     }
 
     fn view(&self) -> SpdView<'_> {
-        self.sampler.chain.target().oracle.borrow().view()
+        self.sampler.chain.target().oracle.view()
     }
 
     fn save(&self, w: &mut Writer) {
         let s = &self.sampler;
-        let target = s.chain.target();
-        let oracle = target.oracle.borrow();
-        save_single_payload(
-            w,
-            s.r,
-            &s.config,
-            &s.chain.snapshot(),
-            &s.acc,
-            self.proposal_sum,
-            self.max_proposed,
-            oracle.column_passes(target.idx),
-            oracle.column_stats(target.idx),
-            oracle.column_rows(target.idx),
-        );
+        let SingleTarget { oracle, idx } = s.chain.target();
+        w.u32(s.r);
+        save_config(w, &s.config);
+        save_chain_snapshot(w, &s.chain.snapshot());
+        s.acc.save_into(w);
+        w.f64(self.proposal_sum);
+        w.f64(self.max_proposed);
+        save_oracle(w, oracle, Some(*idx));
     }
-}
-
-/// Serialises a single-space payload — shared by the sequential driver and
-/// the pipeline's parallel chain-thread driver, which must write
-/// interchangeable checkpoints.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn save_single_payload(
-    w: &mut Writer,
-    r: Vertex,
-    config: &SingleSpaceConfig,
-    snap: &ChainSnapshot<Vertex>,
-    acc: &SingleAccumulator,
-    proposal_sum: f64,
-    max_proposed: f64,
-    passes: u64,
-    stats: OracleStats,
-    rows: Vec<(u64, Vec<f64>)>,
-) {
-    w.u32(r);
-    save_config(w, config);
-    save_chain_snapshot(w, snap);
-    acc.save_into(w);
-    w.f64(proposal_sum);
-    w.f64(max_proposed);
-    save_oracle(w, passes, stats, rows);
-}
-
-/// Decoded single-space payload: everything either execution mode
-/// (sequential sampler or parallel pipeline) needs to resume.
-pub(crate) struct SingleResumeParts {
-    pub(crate) r: Vertex,
-    pub(crate) config: SingleSpaceConfig,
-    pub(crate) n: usize,
-    pub(crate) snap: ChainSnapshot<Vertex>,
-    pub(crate) acc: SingleAccumulator,
-    pub(crate) proposal_sum: f64,
-    pub(crate) max_proposed: f64,
-    pub(crate) passes: u64,
-    pub(crate) stats: OracleStats,
-    pub(crate) rows: Vec<(u64, Vec<f64>)>,
-}
-
-pub(crate) fn decode_single_parts(
-    view: &SpdView<'_>,
-    r: &mut Reader<'_>,
-) -> Result<SingleResumeParts, CoreError> {
-    let probe = r.u32()?;
-    let config = restore_config(r)?;
-    let n = crate::pipeline::validate_single(view, probe, &config)?;
-    let snap = restore_chain_snapshot(r)?;
-    if (snap.state as usize) >= n {
-        return Err(crate::checkpoint::corrupt("chain state out of range"));
-    }
-    let acc = SingleAccumulator::restore_from(&config, n, r)?;
-    let proposal_sum = r.f64()?;
-    let max_proposed = r.f64()?;
-    let (passes, stats, rows) = restore_oracle(r)?;
-    Ok(SingleResumeParts {
-        r: probe,
-        config,
-        n,
-        snap,
-        acc,
-        proposal_sum,
-        max_proposed,
-        passes,
-        stats,
-        rows,
-    })
 }
 
 impl<'g> SingleDriver<'g> {
@@ -731,21 +708,49 @@ impl<'g> SingleDriver<'g> {
     /// verbatim, so the resumed run is bit-identical to an uninterrupted
     /// one.
     pub(crate) fn restore_from(view: SpdView<'g>, r: &mut Reader<'_>) -> Result<Self, CoreError> {
-        let parts = decode_single_parts(&view, r)?;
-        let mut oracle = ProbeOracle::for_view(view, &[parts.r]);
-        oracle.restore_cache(parts.rows, parts.stats, parts.passes);
+        let probe = r.u32()?;
+        let config = restore_config(r)?;
+        let n = validate_single(&view, probe, config.initial)?;
+        let snap = restore_chain_snapshot(r)?;
+        if (snap.state as usize) >= n {
+            return Err(crate::checkpoint::corrupt("chain state out of range"));
+        }
+        let acc = SingleAccumulator::restore_from(&config, n, r)?;
+        let proposal_sum = r.f64()?;
+        let max_proposed = r.f64()?;
+        let mut oracle = ProbeOracle::for_view(view, &[probe]);
+        restore_oracle(r, &mut oracle)?;
         let chain = MetropolisHastings::restore(
-            SingleTarget { oracle: Rc::new(RefCell::new(oracle)), idx: 0 },
-            UniformProposal::new(parts.n),
-            parts.snap,
+            SingleTarget { oracle: Arc::new(oracle), idx: 0 },
+            UniformProposal::new(n),
+            snap,
         );
-        let sampler =
-            SingleSpaceSampler { chain, r: parts.r, config: parts.config, acc: parts.acc };
-        Ok(SingleDriver {
-            sampler,
-            proposal_sum: parts.proposal_sum,
-            max_proposed: parts.max_proposed,
-        })
+        let sampler = SingleSpaceSampler { chain, r: probe, config, acc };
+        Ok(SingleDriver { sampler, proposal_sum, max_proposed, pacing: None })
+    }
+}
+
+impl<'g> Prefetch<'g> for SingleDriver<'g> {
+    type State = Vertex;
+    type Proposal = UniformProposal;
+
+    fn replay(&self) -> Replay<'g, UniformProposal> {
+        let chain = &self.sampler.chain;
+        let target = chain.target();
+        Replay {
+            oracle: Arc::clone(&target.oracle),
+            proposal: UniformProposal::new(self.sampler.acc.n),
+            rng: SmallRng::restore_state(chain.snapshot().proposal_rng),
+            column: target.idx,
+        }
+    }
+
+    fn warm(oracle: &ProbeOracle<'g>, v: Vertex, column: usize) {
+        oracle.warm(v, column);
+    }
+
+    fn attach(&mut self, pacing: Arc<Pacing>) {
+        self.pacing = Some(pacing);
     }
 }
 
@@ -982,6 +987,20 @@ mod tests {
         // The closed form is available instead.
         let exact = mhbc_spd::exact_betweenness_of(&g, r);
         assert_eq!(red.exact_pruned_bc(r), Some(exact));
+    }
+
+    /// Compile-time check: independent estimates can move to other threads.
+    #[test]
+    fn sampler_and_engine_are_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<SingleSpaceSampler<'static>>();
+        assert_send::<EstimationEngine<SingleDriver<'static>>>();
+        // And one really does run on another thread.
+        let g = generators::barbell(4, 1);
+        let sampler = SingleSpaceSampler::new(&g, 4, SingleSpaceConfig::new(200, 1)).unwrap();
+        let here = SingleSpaceSampler::new(&g, 4, SingleSpaceConfig::new(200, 1)).unwrap().run();
+        let there = std::thread::scope(|s| s.spawn(move || sampler.run()).join().unwrap());
+        assert_eq!(here.bc.to_bits(), there.bc.to_bits());
     }
 
     #[test]

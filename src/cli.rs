@@ -174,8 +174,8 @@ Edge lists are whitespace-separated `u v [w]` lines; `#`/`%` comments allowed.
 --segment B      engine segment length: iterations between diagnostics
                  updates, stopping decisions, and checkpoints (default 1024).
 --checkpoint F   write a resumable checkpoint to F at every segment
-                 boundary (estimate at any thread count; rank needs
-                 --threads 1). `mhbc resume <edge-list> F` continues the
+                 boundary (estimate, and rank without --target-se, at any
+                 thread count). `mhbc resume <edge-list> F` continues the
                  run bit-identically — same estimates, same stopping point,
                  as if it had never been interrupted.";
 
@@ -621,24 +621,16 @@ pub fn execute(cmd: &Command, g: &CsrGraph, map: &[Vertex]) -> Result<Vec<String
                 return Ok(out);
             }
 
-            if adaptive.checkpoint.is_some() && prefetch.is_parallel() {
-                return Err("checkpointing a rank run requires --threads 1 (the joint engine \
-                     checkpoints sequentially; estimate checkpoints at any thread count)"
-                    .into());
-            }
             let est = if let Some(path) = &adaptive.checkpoint {
-                let sampler = JointSpaceSampler::for_view(
+                let engine = JointSpaceSampler::for_view(
                     view,
                     &probes,
                     JointSpaceConfig::new(*iterations, *seed),
                 )
-                .map_err(|e| e.to_string())?;
+                .map_err(|e| e.to_string())?
+                .into_engine(adaptive.engine());
                 let mut sink = checkpoint_sink(path);
-                sampler
-                    .into_engine(adaptive.engine())
-                    .run_with(|e| sink(e.checkpoint()))
-                    .map_err(|e| e.to_string())?
-                    .0
+                pipeline::drive(engine, &prefetch, Some(&mut sink)).map_err(|e| e.to_string())?.0
             } else {
                 pipeline::run_joint_view(
                     view,
@@ -767,9 +759,6 @@ pub fn execute(cmd: &Command, g: &CsrGraph, map: &[Vertex]) -> Result<Vec<String
                     out.push(plan_vs_actual_line(&report));
                 }
                 CheckpointKind::Joint => {
-                    if prefetch.is_parallel() {
-                        return Err("joint checkpoints resume sequentially; drop --threads".into());
-                    }
                     let engine =
                         mhbc_core::resume_joint(view, &bytes).map_err(|e| e.to_string())?;
                     out.push(format!(
@@ -777,12 +766,12 @@ pub fn execute(cmd: &Command, g: &CsrGraph, map: &[Vertex]) -> Result<Vec<String
                         engine.iterations(),
                         engine.budget()
                     ));
-                    let (est, _) = match sink.as_mut() {
-                        None => engine.run(),
-                        Some(f) => {
-                            engine.run_with(|e| f(e.checkpoint())).map_err(|e| e.to_string())?
-                        }
-                    };
+                    let (est, _) = pipeline::drive(
+                        engine,
+                        &prefetch,
+                        sink.as_mut().map(|s| s as &mut pipeline::CheckpointSink<'_>),
+                    )
+                    .map_err(|e| e.to_string())?;
                     let inputs: Vec<Vertex> = est.probes.iter().map(|&p| external(p)).collect();
                     let mut ranked: Vec<(Vertex, f64)> =
                         inputs.iter().enumerate().map(|(i, &v)| (v, est.ratio(i, 0))).collect();
@@ -1455,6 +1444,53 @@ mod tests {
         let err = execute(&resume, &olcc, &omap).unwrap_err();
         assert!(err.contains("graph mismatch"), "{err}");
         std::fs::remove_file(&ckpt).ok();
+    }
+
+    #[test]
+    fn threaded_rank_checkpoint_resumes_like_the_sequential_pair() {
+        // `rank --checkpoint F` then `resume F`: the joint engine checkpoints
+        // and resumes at any thread count, printing what the one-thread pair
+        // prints.
+        let (lcc, map) = lollipop_fixture();
+        let dir = std::env::temp_dir().join(format!("mhbc_cli_rank_ckpt_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let pair = |threads: usize| {
+            let ckpt = dir.join(format!("rank{threads}.ckpt")).to_str().unwrap().to_string();
+            let rank = Command::Rank {
+                path: String::new(),
+                vertices: vec![8, 9, 10],
+                iterations: 3_000,
+                seed: 4,
+                threads,
+                prefetch_depth: PrefetchConfig::DEFAULT_DEPTH,
+                preprocess: PreprocessChoice::Level(ReduceLevel::Off),
+                kernel: KernelMode::Auto,
+                adaptive: AdaptiveArgs {
+                    checkpoint: Some(ckpt.clone()),
+                    segment: 700,
+                    ..AdaptiveArgs::default()
+                },
+            };
+            let ranked = execute(&rank, &lcc, &map).unwrap();
+            let resume = Command::Resume {
+                path: String::new(),
+                checkpoint_path: ckpt,
+                threads,
+                prefetch_depth: PrefetchConfig::DEFAULT_DEPTH,
+                kernel: KernelMode::Auto,
+                checkpoint: None,
+            };
+            (ranked, execute(&resume, &lcc, &map).unwrap())
+        };
+        let (seq_rank, seq_resume) = pair(1);
+        let (par_rank, par_resume) = pair(2);
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(seq_rank, par_rank);
+        assert_eq!(seq_resume, par_resume);
+        // The file held the last boundary, 2800 of 3000, and the resumed
+        // ranking is the uninterrupted one.
+        assert_eq!(seq_resume[1], "resumed joint-space run at iteration 2800 of budget 3000");
+        assert_eq!(seq_rank[..], seq_resume[2..], "{seq_rank:?} vs {seq_resume:?}");
     }
 
     #[test]

@@ -189,3 +189,53 @@ fn huge_vertex_id_is_a_clean_cli_error() {
     assert!(stderr.starts_with("error: vertex id 3000000000 is too sparse"), "{stderr}");
     assert!(out.stdout.is_empty());
 }
+
+/// A checkpoint whose last cached row was cut to length 0 and re-signed is
+/// refused by `mhbc resume` with an error line and exit code 1.
+#[test]
+fn resume_of_a_cut_checkpoint_row_is_a_clean_cli_error() {
+    let dir = std::env::temp_dir().join(format!("mhbc_cut_row_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let graph = dir.join("lollipop.txt");
+    let ckpt = dir.join("run.ckpt");
+    let text: String =
+        generators::lollipop(8, 4).edges().map(|(u, v, _)| format!("{u} {v}\n")).collect();
+    std::fs::write(&graph, text).unwrap();
+    let (graph, ckpt_path) = (graph.to_str().unwrap(), ckpt.to_str().unwrap());
+    let mhbc = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_mhbc")).args(args).output().unwrap()
+    };
+    let written = mhbc(&[
+        "estimate",
+        graph,
+        "9",
+        "--iters",
+        "2000",
+        "--segment",
+        "500",
+        "--checkpoint",
+        ckpt_path,
+    ]);
+    assert!(written.status.success(), "{written:?}");
+
+    // The payload ends with the last one-entry row: cut its length to 0,
+    // drop its value, and recompute the FNV-1a checksum.
+    let bytes = std::fs::read(&ckpt).unwrap();
+    let body = &bytes[..bytes.len() - 8];
+    let len_at = body.len() - 16;
+    assert_eq!(body[len_at..len_at + 8], 1u64.to_le_bytes());
+    let mut cut = body[..len_at].to_vec();
+    cut.extend_from_slice(&0u64.to_le_bytes());
+    let sum = cut
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3));
+    cut.extend_from_slice(&sum.to_le_bytes());
+    std::fs::write(&ckpt, cut).unwrap();
+
+    let out = mhbc(&["resume", graph, ckpt_path]);
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("error: checkpoint: "), "{stderr}");
+    assert!(out.stdout.is_empty());
+}
