@@ -21,10 +21,11 @@
 //!
 //! With a parallel [`PrefetchConfig`], each chain additionally gets its own
 //! squad of speculative prefetch workers (chains × pipeline): every chain's
-//! proposal stream is replayed by `threads - 1` workers that warm the
-//! shared cache ahead of it, exactly as in [`crate::pipeline`]. The pooled
-//! estimates are bit-identical whatever the prefetch setting — chain
-//! results depend only on seeds and densities, never on cache timing.
+//! proposal stream is split into `threads` lanes, the chain owns the first
+//! and `threads - 1` workers warm the shared cache on the others, exactly
+//! as in [`crate::pipeline`]. The pooled estimates are bit-identical
+//! whatever the prefetch setting — chain results depend only on seeds and
+//! densities, never on cache timing.
 
 use crate::checkpoint::CheckpointKind;
 use crate::engine::{
@@ -196,8 +197,9 @@ impl EngineDriver for EnsembleDriver<'_> {
     }
 
     fn run_segment(&mut self, iters: u64, out: &mut Vec<f64>) {
-        let workers_per_chain = self.prefetch.threads.saturating_sub(1) as u64;
-        let depth = self.prefetch.depth.max(workers_per_chain);
+        // Each chain owns lane 0 of its squad's `threads` lanes.
+        let lanes = self.prefetch.threads.max(1) as u64;
+        let depth = self.prefetch.depth.max(lanes - 1);
         let pacings: Vec<Pacing> = (0..self.chains).map(|_| Pacing::committed_to(iters)).collect();
         let results: Mutex<Vec<(usize, ChainCell, Vec<f64>)>> =
             Mutex::new(Vec::with_capacity(self.chains));
@@ -241,7 +243,7 @@ impl EngineDriver for EnsembleDriver<'_> {
                     cell.snap = chain.snapshot();
                     results.lock().push((c, cell, series));
                 });
-                for lane in 0..workers_per_chain {
+                for lane in 1..lanes {
                     let wrng = SmallRng::from_state(replay_state);
                     let oracle = &self.oracle;
                     let n = self.n;
@@ -251,7 +253,7 @@ impl EngineDriver for EnsembleDriver<'_> {
                             wrng,
                             1,
                             iters,
-                            Lane { lane, lanes: workers_per_chain, depth, pacing },
+                            Lane { lane, lanes, depth, pacing },
                             |v: Vertex| {
                                 oracle.warm(v, 0);
                             },

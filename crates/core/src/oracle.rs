@@ -25,24 +25,29 @@
 //! a single oracle over the whole probe set, chain ensembles share one
 //! oracle across their chain threads, and prefetch workers
 //! ([`crate::pipeline`]) [`ProbeOracle::warm`] the rows a chain is about to
-//! read. Lookups take a read lock; a miss computes its SPD pass outside any
-//! lock, with a workspace checked out of the oracle's own
-//! [`SpdWorkspacePool`], and inserts under a short write lock. Two threads
-//! may compute the same row at once; rows are a pure function of the view
-//! and the row key, so the first insert wins and the other is dropped.
+//! read. Lookups take a read lock. A miss first *claims* its row key in a
+//! set of rows in flight, then computes the SPD pass outside any lock, with
+//! a workspace checked out of the oracle's own [`SpdWorkspacePool`], and
+//! inserts under a short write lock. A lookup that misses on a row another
+//! thread has claimed waits for it to land and counts a hit; a warm of a
+//! claimed row returns at once. Every row is therefore computed exactly
+//! once, whatever the thread count. A claim is released on drop, so a
+//! thread that unwinds mid-pass wakes its waiters, and one of them computes
+//! the row instead.
 //!
 //! Each lookup is charged to the column whose consumer asked, and an SPD
 //! pass to the column whose lookup or warm *inserted* the row, so
 //! per-column figures sum to the totals and [`ProbeOracle::spd_passes`]
-//! equals the number of distinct rows at every thread count. Only the
-//! hit/miss split of a prefetched run depends on timing.
+//! equals the number of distinct rows (and of computations) at every thread
+//! count. Only the hit/miss split of a prefetched run depends on timing,
+//! and checkpoint images leave it out (see [`ProbeOracle::snapshot`]).
 
 use mhbc_graph::{CsrGraph, Vertex};
 use mhbc_spd::{SpdView, SpdWorkspacePool};
-use parking_lot::RwLock;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use parking_lot::{Mutex, RwLock};
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Condvar, PoisonError};
 
 /// Cache statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -109,6 +114,15 @@ pub struct ProbeOracle<'g> {
     probe_flag: Vec<bool>,
     pool: SpdWorkspacePool<'g>,
     rows: RwLock<HashMap<u64, Box<[f64]>>>,
+    /// Row keys some thread is computing now; taken before `rows` whenever
+    /// both are held.
+    in_flight: Mutex<HashSet<u64>>,
+    /// Signalled whenever a claim is released.
+    landed: Condvar,
+    #[cfg(test)]
+    computations: AtomicU64,
+    #[cfg(test)]
+    waits: AtomicU64,
     /// Per-column counters (module docs). Passes are counted here rather
     /// than read off the calculators so a restored checkpoint's count keeps
     /// accumulating across save/resume boundaries.
@@ -133,6 +147,12 @@ impl<'g> ProbeOracle<'g> {
             probe_flag,
             pool: SpdWorkspacePool::for_view(view),
             rows: RwLock::new(HashMap::new()),
+            in_flight: Mutex::new(HashSet::new()),
+            landed: Condvar::new(),
+            #[cfg(test)]
+            computations: AtomicU64::new(0),
+            #[cfg(test)]
+            waits: AtomicU64::new(0),
             charges: probes.iter().map(|_| Charge::default()).collect(),
         }
     }
@@ -153,7 +173,8 @@ impl<'g> ProbeOracle<'g> {
 
     /// Runs `f` over the cached (or freshly computed) row
     /// `δ_{source•}(probes)` without copying it out; the lookup, and the
-    /// SPD pass a miss inserts, are charged to column `col`.
+    /// SPD pass a miss inserts, are charged to column `col`. A row another
+    /// thread is computing is waited for, and counts as a hit.
     pub fn with_deps<T>(&self, source: Vertex, col: usize, f: impl FnOnce(&[f64]) -> T) -> T {
         let key = self.key(source);
         let charge = &self.charges[col];
@@ -164,11 +185,19 @@ impl<'g> ProbeOracle<'g> {
                 return f(row);
             }
         }
-        charge.misses.fetch_add(1, Ordering::Relaxed);
-        let row = self.compute(source);
-        let out = f(&row);
-        self.insert(key, row, col);
-        out
+        match self.claim(key, true) {
+            Some(claim) => {
+                charge.misses.fetch_add(1, Ordering::Relaxed);
+                let row = self.compute(source);
+                let out = f(&row);
+                self.insert(claim, row, col);
+                out
+            }
+            None => {
+                charge.hits.fetch_add(1, Ordering::Relaxed);
+                f(&self.rows.read()[&key])
+            }
+        }
     }
 
     /// `δ_{source•}(r)` for every probe `r`, cached; the lookup is charged
@@ -186,36 +215,65 @@ impl<'g> ProbeOracle<'g> {
     /// Ensures `source`'s row is cached, computing it if needed; returns
     /// whether this call inserted it (and charged its SPD pass to column
     /// `col`). The prefetch workers' entry point: it counts no lookup, so
-    /// warming never changes how many lookups a chain's column records.
+    /// warming never changes how many lookups a chain's column records, and
+    /// it never waits — a row another thread is computing returns `false`
+    /// at once.
     pub fn warm(&self, source: Vertex, col: usize) -> bool {
         let key = self.key(source);
         if self.rows.read().contains_key(&key) {
             return false;
         }
+        let Some(claim) = self.claim(key, false) else {
+            return false;
+        };
         let row = self.compute(source);
-        self.insert(key, row, col)
+        self.insert(claim, row, col);
+        true
+    }
+
+    /// Claims `key` for computation. Returns `None` once the row is cached
+    /// — at once, or (with `wait`) after the thread holding its claim
+    /// inserts it — and also, without `wait`, while another thread holds
+    /// the claim.
+    fn claim(&self, key: u64, wait: bool) -> Option<Claim<'_, 'g>> {
+        let mut busy = self.in_flight.lock();
+        loop {
+            if self.rows.read().contains_key(&key) {
+                return None;
+            }
+            if busy.insert(key) {
+                return Some(Claim { oracle: self, key });
+            }
+            if !wait {
+                return None;
+            }
+            #[cfg(test)]
+            self.waits.fetch_add(1, Ordering::Relaxed);
+            busy = self.landed.wait(busy).unwrap_or_else(PoisonError::into_inner);
+        }
     }
 
     fn compute(&self, source: Vertex) -> Box<[f64]> {
+        #[cfg(test)]
+        self.computations.fetch_add(1, Ordering::Relaxed);
         let mut row = Vec::with_capacity(self.probes.len());
         self.pool.checkout().dependency_on_many(source, &self.probes, &mut row);
         row.into_boxed_slice()
     }
 
-    /// Inserts a computed row unless another thread got there first;
-    /// charges the pass to `col` only when this call inserted it.
-    fn insert(&self, key: u64, row: Box<[f64]>, col: usize) -> bool {
+    /// Inserts the row `claim` was computed for and charges its pass to
+    /// `col`; dropping the claim afterwards wakes the threads waiting on it.
+    fn insert(&self, claim: Claim<'_, 'g>, row: Box<[f64]>, col: usize) {
         let mut rows = self.rows.write();
-        match rows.entry(key) {
-            Entry::Vacant(e) => {
-                e.insert(row);
-                // Charged under the lock: a thread that sees the row (it
-                // takes the lock to look) also sees its pass.
-                self.charges[col].passes.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Entry::Occupied(_) => false,
-        }
+        let fresh = rows.insert(claim.key, row).is_none();
+        debug_assert!(fresh, "only the claim holder inserts a row");
+        // Charged under the lock: a thread that sees the row (it takes the
+        // lock to look) also sees its pass.
+        self.charges[col].passes.fetch_add(1, Ordering::Relaxed);
+        // Release the rows before the claim: a claimer reads them while
+        // holding the in-flight set.
+        drop(rows);
+        drop(claim);
     }
 
     /// Cache statistics, summed over all columns.
@@ -256,12 +314,20 @@ impl<'g> ProbeOracle<'g> {
     /// sorted by key (insertion order is a timing artifact under
     /// prefetching), and passes and rows are read under one lock, so a
     /// concurrent warm cannot add a row whose pass the image lacks.
+    ///
+    /// The image records `misses = passes` and `hits = lookups − passes`:
+    /// the hit/miss split of a prefetched run depends on which thread
+    /// computed a row, but lookups and passes do not, so images are equal
+    /// at every thread count. A sequential run misses exactly when it
+    /// inserts, so its image keeps its own split.
     pub fn snapshot(&self, col: Option<usize>) -> (u64, OracleStats, Vec<(u64, Vec<f64>)>) {
         let rows = self.rows.read();
         let (passes, stats) = match col {
             Some(idx) => (self.column_passes(idx), self.column_stats(idx)),
             None => (self.spd_passes(), self.stats()),
         };
+        let lookups = stats.hits + stats.misses;
+        let stats = OracleStats { hits: lookups.saturating_sub(passes), misses: passes };
         let mut image: Vec<(u64, Vec<f64>)> = rows
             .iter()
             .map(|(&k, row)| (k, col.map_or_else(|| row.to_vec(), |idx| vec![row[idx]])))
@@ -286,6 +352,20 @@ impl<'g> ProbeOracle<'g> {
         *charge.hits.get_mut() = stats.hits;
         *charge.misses.get_mut() = stats.misses;
         *charge.passes.get_mut() = passes;
+    }
+}
+
+/// A row key claimed for computation; released (and its waiters woken)
+/// on drop, including when the computing thread unwinds.
+struct Claim<'a, 'g> {
+    oracle: &'a ProbeOracle<'g>,
+    key: u64,
+}
+
+impl Drop for Claim<'_, '_> {
+    fn drop(&mut self) {
+        self.oracle.in_flight.lock().remove(&self.key);
+        self.oracle.landed.notify_all();
     }
 }
 
@@ -410,14 +490,65 @@ mod tests {
             let bits = |r: &[f64]| r.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&row), bits(&want), "source {key}");
         }
-        // The race a timing cannot force: a row computed twice is inserted
-        // once, and only the inserting column is charged its pass.
-        let fresh = ProbeOracle::new(&g, &probes);
-        let key = fresh.key(3);
-        assert!(fresh.insert(key, fresh.compute(3), 1));
-        assert!(!fresh.insert(key, fresh.compute(3), 2));
-        assert_eq!((fresh.column_passes(1), fresh.column_passes(2)), (1, 0));
-        assert_eq!(fresh.cached_sources(), 1);
+        // Claims make every insert a computation and every computation an
+        // insert: no row was computed twice.
+        assert_eq!(o.computations.load(Ordering::Relaxed), o.spd_passes());
+    }
+
+    #[test]
+    fn lookup_waits_on_a_claimed_row_and_computes_it_when_the_claim_is_dropped() {
+        let g = generators::barbell(4, 2);
+        let o = ProbeOracle::new(&g, &[4]);
+        let claim = o.claim(o.key(0), true).expect("nobody else holds the key");
+        crossbeam::thread::scope(|scope| {
+            let o = &o;
+            let waiter = scope.spawn(move |_| o.dep(0, 0));
+            // The waiter counts its wait while holding the in-flight set,
+            // which the claim's release needs: once the count shows, the
+            // release below can only reach a thread already waiting.
+            while o.waits.load(Ordering::Relaxed) == 0 {
+                std::thread::yield_now();
+            }
+            // Released without an insert, as when the computing thread
+            // unwinds: the waiter claims the row and computes it itself.
+            drop(claim);
+            let d = waiter.join().expect("waiter joined");
+            assert_eq!(d, DependencyCalculator::new(&g).dependency_on(&g, 0, 4));
+        })
+        .expect("threads joined");
+        assert_eq!(o.computations.load(Ordering::Relaxed), 1);
+        assert_eq!(o.spd_passes(), 1);
+        assert_eq!(o.stats(), OracleStats { hits: 0, misses: 1 });
+    }
+
+    #[test]
+    fn warm_of_a_claimed_row_returns_at_once() {
+        let g = generators::barbell(4, 2);
+        let o = ProbeOracle::new(&g, &[4]);
+        let claim = o.claim(o.key(0), true).expect("nobody else holds the key");
+        // Same thread: a warm that waited would never return.
+        assert!(!o.warm(0, 0));
+        assert_eq!(o.computations.load(Ordering::Relaxed), 0);
+        assert_eq!((o.spd_passes(), o.cached_sources()), (0, 0));
+        drop(claim);
+        assert!(o.warm(0, 0));
+        assert_eq!(o.computations.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn snapshot_counts_every_pass_as_a_miss() {
+        // A warmed row read once: one lookup (a hit) and one pass. The
+        // image records the split a sequential run would have had.
+        let g = generators::barbell(4, 2);
+        let o = ProbeOracle::new(&g, &[4]);
+        assert!(o.warm(0, 0));
+        let _ = o.dep(0, 0);
+        let _ = o.dep(1, 0);
+        let _ = o.dep(1, 0);
+        assert_eq!(o.stats(), OracleStats { hits: 2, misses: 1 });
+        let (passes, stats, _) = o.snapshot(None);
+        assert_eq!((passes, stats), (2, OracleStats { hits: 1, misses: 2 }));
+        assert_eq!(o.snapshot(Some(0)).1, stats);
     }
 
     #[test]

@@ -8,7 +8,13 @@
 //! ordinary single- or joint-space engine, fresh or resumed, and with
 //! `threads >= 2` adds worker threads that replay the chain's proposal
 //! stream and [`ProbeOracle::warm`] the upcoming proposals' rows in the
-//! engine's own oracle. The chain almost always hits the warmed cache.
+//! engine's own oracle.
+//!
+//! The proposal stream is split into `threads` strided lanes, and the
+//! chain owns lane 0: it computes the rows of its own lane's misses, while
+//! worker `i` warms lane `i`. With the oracle's in-flight claims every
+//! row is computed once, by whichever thread reaches it first, so `threads`
+//! threads share the SPD passes instead of repeating them.
 //!
 //! ## Determinism guarantee
 //!
@@ -35,8 +41,11 @@
 //! Workers run at most [`PrefetchConfig::depth`] proposals ahead of the
 //! chain (a courtesy bound on cache growth ahead of consumption), yielding
 //! when the window is full, and never past the iteration bound the engine
-//! has committed to (see [`Pacing`]). If the chain outpaces its workers it
-//! computes the density itself — nobody ever blocks on a slow worker.
+//! has committed to (see [`Pacing`]). Every run commits segment by segment,
+//! so at each segment boundary the cache, and hence the checkpoint image,
+//! holds exactly the rows the chain has consumed, at every thread count.
+//! If the chain outpaces its workers it computes the density itself; the
+//! chain blocks only on a row already in flight on another thread.
 //! Proposals that are *state-dependent* (the F8 degree-walk ablation)
 //! cannot be replayed ahead of time; [`mhbc_mcmc::Proposal::propose_iid`]
 //! returns `None` for them and the workers stop at once. `threads <= 1`
@@ -49,7 +58,7 @@ use crate::{
     CoreError, JointSpaceConfig, JointSpaceEstimate, JointSpaceSampler, SingleSpaceSampler,
 };
 use mhbc_graph::{CsrGraph, Vertex};
-use mhbc_mcmc::{Proposal, StoppingRule};
+use mhbc_mcmc::Proposal;
 use mhbc_spd::SpdView;
 use rand::rngs::SmallRng;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -60,10 +69,12 @@ use std::sync::Arc;
 pub struct PrefetchConfig {
     /// Total density-evaluation threads, chain thread included: `threads`
     /// of 0 or 1 runs the plain sequential sampler; `t >= 2` spawns
-    /// `t - 1` prefetch workers alongside the chain thread.
+    /// `t - 1` prefetch workers alongside the chain thread, which owns one
+    /// of the `t` lanes itself.
     pub threads: usize,
     /// How many proposals ahead of the chain the workers may speculate
-    /// (clamped to at least the worker count). Larger windows tolerate
+    /// (clamped to at least the worker count, so every worker can compute
+    /// a row while the chain computes its own). Larger windows tolerate
     /// burstier schedulers; the cache holds at most `depth` rows beyond
     /// what the chain has consumed.
     pub depth: u64,
@@ -109,9 +120,9 @@ impl Default for PrefetchConfig {
 /// only proposals with `t ≤ committed` — under adaptive stopping the total
 /// iteration count is unknown upfront, and a worker that warmed past an
 /// early stop would insert rows (and charge SPD passes) the sequential run
-/// never computes. At every segment boundary of an adaptive run the cache
-/// therefore holds *exactly* the rows of the proposals consumed so far,
-/// whatever the thread count.
+/// never computes. At every segment boundary the cache therefore holds
+/// *exactly* the rows of the proposals consumed so far, whatever the thread
+/// count.
 pub struct Pacing {
     progress: AtomicU64,
     committed: AtomicU64,
@@ -119,8 +130,8 @@ pub struct Pacing {
 }
 
 impl Pacing {
-    /// Pacing with `committed` pre-set (fixed-budget runs commit the whole
-    /// budget upfront).
+    /// Pacing with `committed` pre-set (an ensemble segment commits the
+    /// whole segment upfront).
     pub(crate) fn committed_to(limit: u64) -> Self {
         Pacing {
             progress: AtomicU64::new(0),
@@ -129,9 +140,7 @@ impl Pacing {
         }
     }
 
-    /// Guarantees execution up to iteration `limit` (a monotone raise:
-    /// fixed-budget runs pre-commit everything, and the bound never falls
-    /// back to a segment edge).
+    /// Guarantees execution up to iteration `limit` (a monotone raise).
     pub(crate) fn commit(&self, limit: u64) {
         self.committed.fetch_max(limit, Ordering::AcqRel);
     }
@@ -154,7 +163,8 @@ impl Drop for PacingGuard<'_> {
 }
 
 /// A worker's view of the speculation window: which strided share of the
-/// proposal stream it owns and how far past the chain it may run.
+/// proposal stream it owns and how far past the chain it may run. The
+/// chain owns lane 0 of `lanes`, so workers take lanes `1..lanes`.
 pub(crate) struct Lane<'a> {
     pub(crate) lane: u64,
     pub(crate) lanes: u64,
@@ -256,22 +266,18 @@ pub fn drive<'g, D: Prefetch<'g>>(
     if !prefetch.is_parallel() {
         return run(engine, sink);
     }
-    let workers = (prefetch.threads - 1) as u64;
-    let depth = prefetch.depth.max(workers);
+    let lanes = prefetch.threads as u64;
+    let depth = prefetch.depth.max(lanes - 1);
     let start = engine.iterations() + 1;
     let budget = engine.budget();
-    // Fixed-budget runs commit everything upfront; adaptive runs commit
-    // segment by segment.
-    let committed = match engine.config().stopping {
-        StoppingRule::FixedIterations => budget,
-        _ => start - 1,
-    };
-    let pacing = Arc::new(Pacing::committed_to(committed));
+    // The driver commits segment by segment (see `Pacing`).
+    let pacing = Arc::new(Pacing::committed_to(start - 1));
     let replay = engine.driver().replay();
     engine.driver_mut().attach(Arc::clone(&pacing));
 
     crossbeam::thread::scope(|scope| {
-        for lane in 0..workers {
+        // Lane 0 is the chain's own.
+        for lane in 1..lanes {
             let (proposal, rng) = (replay.proposal.clone(), replay.rng.clone());
             let (oracle, pacing, column) = (&*replay.oracle, &*pacing, replay.column);
             scope.spawn(move |_| {
@@ -280,7 +286,7 @@ pub fn drive<'g, D: Prefetch<'g>>(
                     rng,
                     start,
                     budget,
-                    Lane { lane, lanes: workers, depth, pacing },
+                    Lane { lane, lanes, depth, pacing },
                     |s| D::warm(oracle, s, column),
                 );
             });
@@ -329,7 +335,8 @@ pub fn run_single_view(
         .map(|(est, _)| est)
 }
 
-/// [`run_single_view`] under `engine_cfg` (so a [`StoppingRule`] can end
+/// [`run_single_view`] under `engine_cfg` (so a
+/// [`StoppingRule`](mhbc_mcmc::StoppingRule) can end
 /// the run early), optionally writing a checkpoint at every segment
 /// boundary: [`drive`] over [`SingleSpaceSampler::into_engine`]. An
 /// adaptive run's estimates, stopping point, and `spd_passes` agree across
@@ -555,10 +562,60 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_images_are_identical_across_thread_counts() {
+        // Every segment boundary's image, for single, joint and ensemble
+        // runs: rows, passes and lookup counts are all independent of how
+        // the rows were split between the chain and its workers.
+        let mut rng = <SmallRng as rand::SeedableRng>::seed_from_u64(11);
+        let g = generators::barabasi_albert(500, 3, &mut rng);
+        let view = SpdView::direct(&g);
+        let engine_cfg = EngineConfig::fixed().with_segment(300);
+        let images = |threads: usize| -> [Vec<Vec<u8>>; 3] {
+            let prefetch = PrefetchConfig::with_threads(threads);
+            let (mut single, mut joint, mut ensemble) = (Vec::new(), Vec::new(), Vec::new());
+            let config = SingleSpaceConfig::new(2_000, 5);
+            let mut sink = |b: Vec<u8>| {
+                single.push(b);
+                Ok(())
+            };
+            run_single_view_adaptive(view, 0, &config, engine_cfg, &prefetch, Some(&mut sink))
+                .unwrap();
+            let engine =
+                JointSpaceSampler::for_view(view, &[0, 1, 2], JointSpaceConfig::new(2_000, 6))
+                    .unwrap()
+                    .into_engine(engine_cfg);
+            let mut sink = |b: Vec<u8>| {
+                joint.push(b);
+                Ok(())
+            };
+            drive(engine, &prefetch, Some(&mut sink)).unwrap();
+            let config = crate::EnsembleConfig::new(3, 1_000, 7).with_prefetch(prefetch);
+            let mut sink = |b: Vec<u8>| {
+                ensemble.push(b);
+                Ok(())
+            };
+            crate::ensemble::run_ensemble_view_adaptive(
+                view,
+                0,
+                &config,
+                engine_cfg,
+                Some(&mut sink),
+            )
+            .unwrap();
+            [single, joint, ensemble]
+        };
+        let seq = images(1);
+        assert_eq!(seq.each_ref().map(Vec::len), [6, 6, 3]);
+        for threads in [2usize, 8] {
+            assert!(images(threads) == seq, "threads {threads}: checkpoint images differ");
+        }
+    }
+
+    #[test]
     fn workers_stop_when_the_run_is_aborted() {
-        // A fixed-budget run commits its whole budget, so only the stop
-        // signal keeps workers from warming the remaining proposals after
-        // a checkpoint sink aborts the run at its first boundary.
+        // A checkpoint sink aborts the run at its first boundary; the stop
+        // signal ends the workers instead of leaving them waiting for a
+        // commit that never comes.
         use mhbc_mcmc::StoppingRule;
         let mut rng = <SmallRng as rand::SeedableRng>::seed_from_u64(3);
         let g = mhbc_graph::generators::barabasi_albert(400, 3, &mut rng);

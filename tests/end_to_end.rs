@@ -239,3 +239,35 @@ fn resume_of_a_cut_checkpoint_row_is_a_clean_cli_error() {
     assert!(stderr.starts_with("error: checkpoint: "), "{stderr}");
     assert!(out.stdout.is_empty());
 }
+
+/// `estimate --checkpoint` and `rank --checkpoint` write the same bytes at
+/// `--threads 1` and `--threads 2`: the image holds the rows consumed so
+/// far and counts that do not depend on which thread computed a row.
+#[test]
+fn checkpoint_files_do_not_depend_on_the_thread_count() {
+    let dir = std::env::temp_dir().join(format!("mhbc_ckpt_threads_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let graph = dir.join("ba.txt");
+    let mut rng = SmallRng::seed_from_u64(31);
+    let text: String = generators::barabasi_albert(800, 3, &mut rng)
+        .edges()
+        .map(|(u, v, _)| format!("{u} {v}\n"))
+        .collect();
+    std::fs::write(&graph, text).unwrap();
+    let graph = graph.to_str().unwrap();
+    let written = |command: &str, probes: &str, threads: &str| {
+        let ckpt = dir.join(format!("{command}-{threads}.ckpt"));
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_mhbc"))
+            .args([command, graph, probes, "--iters", "3000", "--segment", "500"])
+            .args(["--threads", threads, "--checkpoint", ckpt.to_str().unwrap()])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{out:?}");
+        std::fs::read(&ckpt).unwrap()
+    };
+    let estimate = (written("estimate", "0", "1"), written("estimate", "0", "2"));
+    let rank = (written("rank", "0,1,2", "1"), written("rank", "0,1,2", "2"));
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(estimate.0 == estimate.1, "estimate checkpoints differ across thread counts");
+    assert!(rank.0 == rank.1, "rank checkpoints differ across thread counts");
+}
